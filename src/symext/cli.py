@@ -229,7 +229,7 @@ def cmd_param(args) -> int:
             print("D-> = 0 certified (symmetric extension found); "
                   f"upper bound {report.upper:.6f}")
         else:
-            print(f"upper bound (single copy): {report.upper:.6f}")
+            print(f"single-copy parameter: {report.upper:.6f}")
     return 0 if report.certified_zero else 1
 
 

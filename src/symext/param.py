@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .extend import FEASIBLE, ExtensionProblem, solve_extension
+from .extend import FEASIBLE, ExtensionProblem, _Geometry, solve_extension
 from .quantum import (
     DensityMatrix,
     coherent_information,
@@ -86,22 +86,17 @@ def _grad_and_value(rho: np.ndarray, sigma: np.ndarray, c_rho: float):
     return value, (g + g.conj().T) / 2
 
 
-def _lmo(grad: np.ndarray, d: int) -> np.ndarray:
+def _lmo(grad: np.ndarray, geo: _Geometry) -> np.ndarray:
     """Closed-form linear minimization over the extendible set.
 
     min over extendible sigma of <G, sigma> equals the minimum eigenvalue of
     the swap-symmetrized lift G (x) I, attained at the reduction of the
     symmetrized minimum-eigenvector projector.
     """
-    side = d * d * d
-    shape6 = (d, d, d) * 2
-    m = np.kron(grad, np.eye(d))
-    m = (m + m.reshape(shape6).transpose(0, 2, 1, 3, 5, 4).reshape(side, side)) / 2
+    m = geo.lift(grad)
     w, u = np.linalg.eigh((m + m.conj().T) / 2)
     v = u[:, 0]
-    x = np.outer(v, v.conj())
-    x = (x + x.reshape(shape6).transpose(0, 2, 1, 3, 5, 4).reshape(side, side)) / 2
-    s = np.trace(x.reshape(d * d, d, d * d, d), axis1=1, axis2=3)
+    s = geo.ptrace_last(geo.swap_avg(np.outer(v, v.conj())))
     return (s + s.conj().T) / 2
 
 
@@ -148,6 +143,7 @@ def distance_to_extendible(
     rho_t = np.asarray(embedded.matrix)
     c_rho = _objective_terms(rho_t)
 
+    geo = _Geometry((d, d))
     n = d * d
     sigma = np.eye(n, dtype=complex) / n
     floor = SIGMA_FLOOR * np.eye(n) / n
@@ -167,7 +163,7 @@ def distance_to_extendible(
                 f"objective increased: {prev:.12e} -> {value:.12e} at iteration {k}"
             )
         prev = value
-        s = _lmo(grad, d)
+        s = _lmo(grad, geo)
         gap = float(np.real(linalg.hs_inner(grad, sigma - s)))
         if gap <= gap_tol:
             break
@@ -206,13 +202,14 @@ def hashing_lower_bound(rho: DensityMatrix) -> float:
 
 @dataclass(eq=False)
 class BoundReport:
-    """Sandwich on one-way distillable entanglement for one state.
+    """Hashing bound and distance parameter for one state.
 
-    lower is the clamped hashing bound. upper is 0 exactly when a symmetric
-    extension was found (extendibility forces zero one-way distillable
-    entanglement, overriding the distance estimate, which remains a
-    parameter rather than the operational quantity); otherwise it is the
-    single-copy distance estimate.
+    lower is the clamped hashing bound on one-way distillable entanglement.
+    upper is 0 exactly when a symmetric extension was found (extendibility
+    forces zero one-way distillable entanglement); otherwise it is the
+    single-copy distance parameter. Only the regularized parameter bounds
+    the distillable entanglement from above, so the single-copy value may
+    lie below lower (isotropic(2, 0.9): 0.2523 against 0.3725).
     """
 
     lower: float
@@ -232,7 +229,7 @@ def bound_report(
     fw_max_iter: int = 2000,
     gap_tol: float = 1e-5,
 ) -> BoundReport:
-    """Extendibility verdict plus lower/upper bound pair for one state."""
+    """Extendibility verdict, hashing bound and distance parameter for one state."""
     cert = solve_extension(ExtensionProblem(target=rho, tol=tol, max_iter=max_iter))
     par = distance_to_extendible(rho, max_iter=fw_max_iter, gap_tol=gap_tol)
     neg = negativity(rho)
@@ -240,12 +237,6 @@ def bound_report(
     lower = max(0.0, raw)
     certified = cert.verdict == FEASIBLE
     upper = 0.0 if certified else par.value
-    if lower > upper + 1e-6:
-        raise RuntimeError(
-            f"inconsistent sandwich: hashing lower bound {lower:.6f} exceeds "
-            f"reported upper value {upper:.6f}; the single-copy distance does "
-            "not bound the distillable entanglement for this state"
-        )
     return BoundReport(
         lower=lower,
         upper=upper,

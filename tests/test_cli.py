@@ -181,6 +181,15 @@ def test_cmd_param_prints_certified_line(tmp_path, capsys):
     assert "D-> = 0 certified" in out
 
 
+def test_cmd_param_hashing_above_single_copy_parameter(tmp_path, capsys):
+    infile = tmp_path / "state.json"
+    write_json(infile, state_to_payload(isotropic(2, 0.9)))
+    assert main(["param", str(infile), "--fw-max-iter", "200"]) == 1
+    out = capsys.readouterr().out
+    assert "hashing lower bound: 0.372" in out
+    assert "single-copy parameter:" in out
+
+
 def test_cmd_verify_paper_filtered(capsys):
     code = main(["verify-paper", "--only", "extension-family"])
     out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from symext.extend import (
     FEASIBLE,
     INFEASIBLE_NUMERICAL,
     ExtensionProblem,
+    _Geometry,
     bob_side_map_preserves,
     max_extendible_fidelity,
     run_isotropic_sweep,
@@ -45,6 +46,28 @@ def test_problem_validation():
     big = random_density(rng, (9, 12))
     with pytest.raises(ValueError, match="side"):
         solve(big)
+
+
+def _random_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
+)
+def test_affine_projection_is_exact(dims):
+    rng = np.random.default_rng(11)
+    target = random_density(rng, dims)
+    geo = _Geometry(dims, target.matrix, 1e-7)
+    m, m2 = _random_hermitian(rng, geo.side), _random_hermitian(rng, geo.side)
+    pm, pm2 = geo.affine_project(m), geo.affine_project(m2)
+    assert np.linalg.norm(geo.affine_project(pm) - pm) <= 1e-12
+    _, swap_res, pt_res = geo.residual_triple(pm)
+    assert swap_res <= 1e-12 and pt_res <= 1e-12
+    # m - P(m) is normal to the affine set at P(m)
+    inner = linalg.hs_inner(m - pm, pm2 - pm)
+    assert abs(inner) <= 1e-12 * linalg.hs_norm(m - pm) * linalg.hs_norm(pm2 - pm)
 
 
 def test_product_state_feasible():
@@ -158,13 +181,14 @@ def test_residual_history_monotone():
             assert r_next <= r_prev * 1.05
 
 
-def test_small_batteries():
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
+def test_small_batteries(dims):
     rng = np.random.default_rng(2)
     for _ in range(10):
-        cert = solve(random_separable(rng, (2, 2)), max_iter=40000)
+        cert = solve(random_separable(rng, dims), max_iter=40000)
         assert cert.verdict == FEASIBLE
     for _ in range(10):
-        cert = solve(random_entangled_pure(rng, (2, 2)))
+        cert = solve(random_entangled_pure(rng, dims))
         assert cert.verdict != FEASIBLE
 
 

@@ -140,6 +140,15 @@ def test_bound_report_separable_is_all_zero():
     assert report.negativity == pytest.approx(0.0, abs=1e-12)
 
 
+def test_bound_report_hashing_above_single_copy_parameter():
+    # the single-copy parameter is not an upper bound on D->, so a hashing
+    # bound above it is a valid report, not an inconsistency
+    report = bound_report(isotropic(2, 0.9), fw_max_iter=200)
+    assert report.lower == pytest.approx(0.3725, abs=1e-4)
+    assert report.certified_zero is False
+    assert report.upper < report.lower
+
+
 def test_two_copy_maxent_additive():
     value = two_copy_estimate(maxent(2), max_iter=3000)
     assert value == pytest.approx(1.0, abs=2e-3)
