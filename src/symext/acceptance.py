@@ -30,13 +30,12 @@ from .extend import (
 )
 from .param import (
     _grad_and_value,
-    _objective_terms,
     bound_report,
     distance_to_extendible,
     normalization_factor,
     two_copy_estimate,
 )
-from .quantum import DensityMatrix, max_entangled_projector
+from .quantum import DensityMatrix, max_entangled_projector, von_neumann_entropy
 from .sampling import (
     random_cptp,
     random_density,
@@ -192,11 +191,12 @@ def _battery_gradient(seed):
     rng = np.random.default_rng(seed + 3)
     worst = 0.0
     for _ in range(10):
-        rho = random_density(rng, (3, 3)).matrix
+        state = random_density(rng, (3, 3))
+        rho = state.matrix
         sigma = 0.5 * random_density(rng, (3, 3)).matrix + 0.5 * np.eye(9) / 9
         direction = random_density(rng, (3, 3)).matrix - np.eye(9) / 9
         direction /= np.linalg.norm(direction)
-        c_rho = _objective_terms(rho)
+        c_rho = -von_neumann_entropy(state)
         _, grad = _grad_and_value(rho, sigma, c_rho)
         analytic = float(np.real(linalg.hs_inner(grad, direction)))
         eps = 1e-5

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from symext import param
 from symext.constructions import example_state, isotropic, isotropic_boundary_fidelity
-from symext.extend import FEASIBLE
+from symext.extend import FEASIBLE, solve_extension
 from symext.param import (
     bound_report,
     distance_to_extendible,
@@ -59,16 +60,19 @@ def test_result_invariant_value_ties_to_nearest():
     assert result.fw_gap >= 0.0
 
 
-def test_isotropic_distance_matches_twirl_argument():
+@pytest.mark.parametrize("d, f", [(2, 0.8), (2, 0.9), (3, 0.8)])
+def test_isotropic_distance_matches_twirl_argument(d, f):
     # the nearest extendible state to an isotropic state is the boundary
     # isotropic state, so the value is the binary divergence of the spectra
-    f, g = 0.9, 0.75
-    exact = normalization_factor(2) * (
+    g = isotropic_boundary_fidelity(d)
+    exact = normalization_factor(d) * (
         f * math.log2(f / g) + (1 - f) * math.log2((1 - f) / (1 - g))
     )
-    result = distance_to_extendible(isotropic(2, f), max_iter=6000, gap_tol=1e-6)
+    result = distance_to_extendible(isotropic(d, f), max_iter=2000)
     assert result.value == pytest.approx(exact, abs=1e-3)
-    assert result.value >= exact - 1e-9  # upper estimate
+    # the certified interval contains the optimum
+    assert result.value - result.scale * result.fw_gap - 1e-9 <= exact
+    assert exact <= result.value + 1e-9
 
 
 def test_separable_states_have_zero_distance():
@@ -147,6 +151,21 @@ def test_bound_report_hashing_above_single_copy_parameter():
     assert report.lower == pytest.approx(0.3725, abs=1e-4)
     assert report.certified_zero is False
     assert report.upper < report.lower
+
+
+def test_bound_report_solves_the_extension_once(monkeypatch):
+    # the distance reuses bound_report's verdict instead of probing again
+    calls = []
+
+    def counting_solve(problem):
+        calls.append(problem)
+        return solve_extension(problem)
+
+    monkeypatch.setattr(param, "solve_extension", counting_solve)
+    for state in (example_state(0.45), isotropic(2, 0.8)):
+        calls.clear()
+        bound_report(state, fw_max_iter=10)
+        assert len(calls) == 1
 
 
 def test_two_copy_maxent_additive():
