@@ -27,6 +27,7 @@ from .extend import (
     bob_side_map_preserves,
     run_isotropic_sweep,
     solve_extension,
+    verify_witness,
 )
 from .param import (
     _grad_and_value,
@@ -140,15 +141,20 @@ def _normalization_anchor(d, tol):
     return f"value={result.value:.6f} gap={result.fw_gap:.2e}", ok
 
 
+def _witnessed(cert, target) -> bool:
+    """An infeasible verdict backed by a witness that verify_witness confirms."""
+    return cert.witness is not None and verify_witness(cert.witness, target).certified
+
+
 def _depolarizing_flip():
     feas = solve_extension(
         ExtensionProblem(target=isotropic(2, 1.0 - 3 * 0.35 / 4))
     ).verdict
-    infeas = solve_extension(
-        ExtensionProblem(target=isotropic(2, 1.0 - 3 * 0.31 / 4))
-    ).verdict
-    ok = feas == FEASIBLE and infeas == INFEASIBLE_NUMERICAL
-    return f"p=0.35: {feas}; p=0.31: {infeas}", ok
+    target = isotropic(2, 1.0 - 3 * 0.31 / 4)
+    cert = solve_extension(ExtensionProblem(target=target))
+    witnessed = _witnessed(cert, target)
+    ok = feas == FEASIBLE and cert.verdict == INFEASIBLE_NUMERICAL and witnessed
+    return f"p=0.35: {feas}; p=0.31: {cert.verdict} (witnessed: {witnessed})", ok
 
 
 def _battery_separable(seed):
@@ -165,14 +171,17 @@ def _battery_separable(seed):
 
 def _battery_entangled(seed):
     rng = np.random.default_rng(seed + 1)
-    n_feas = 0
+    n_feas = n_infeas = n_witnessed = 0
     for i in range(100):
         dims = (2, 2) if i % 2 == 0 else (3, 3)
-        cert = solve_extension(
-            ExtensionProblem(target=random_entangled_pure(rng, dims))
-        )
+        target = random_entangled_pure(rng, dims)
+        cert = solve_extension(ExtensionProblem(target=target))
         n_feas += cert.verdict == FEASIBLE
-    return f"{n_feas}/100 Feasible", n_feas == 0
+        if cert.verdict == INFEASIBLE_NUMERICAL:
+            n_infeas += 1
+            n_witnessed += _witnessed(cert, target)
+    ok = n_feas == 0 and n_witnessed == n_infeas
+    return f"{n_feas}/100 Feasible, {n_witnessed}/{n_infeas} infeasible witnessed", ok
 
 
 def _battery_closure(seed):
@@ -251,11 +260,12 @@ def _registry(seed):
          lambda: _normalization_anchor(2, 1e-3)),
         ("normalization-anchor-d3", f"{math.log2(3):.6f}, gap<=1e-3", "2e-3",
          lambda: _normalization_anchor(3, 2e-3)),
-        ("depolarizing-flip", "Feasible@0.35 / InfeasibleNumerical@0.31", "exact",
+        ("depolarizing-flip", "Feasible@0.35 / witnessed InfeasibleNumerical@0.31",
+         "exact",
          _depolarizing_flip),
         ("battery-separable", "100/100 Feasible", "exact",
          lambda: _battery_separable(seed)),
-        ("battery-entangled-pure", "0/100 Feasible", "exact",
+        ("battery-entangled-pure", "0/100 Feasible, every infeasible witnessed", "exact",
          lambda: _battery_entangled(seed)),
         ("battery-one-way-closure", "20/20 preserved", "exact",
          lambda: _battery_closure(seed)),

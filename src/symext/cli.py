@@ -3,8 +3,10 @@
 Verbs: choi, test, sweep-isotropic, param, verify-paper. States and
 channels travel as JSON with [re, im] pairs in row-major nested arrays;
 sweeps produce CSV. Exit codes: 0 = certified feasible (zero one-way
-capacity), 1 = not certified, 2 = input error. Code 1 makes no claim of
-positive capacity; the test is one-sided.
+capacity), 1 = not certified, 2 = error. Code 1 makes no claim of
+positive capacity; the test is one-sided. Errors print to stderr as
+"input error: ..." for a bad input file and as "internal error: <type>:
+..." for a fault inside the program.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import numpy as np
 
 from .extend import (
     FEASIBLE,
+    MAX_SIDE,
     ExtensionProblem,
     run_isotropic_sweep,
     solve_extension,
@@ -111,6 +114,18 @@ def _load_state_or_channel(path: str):
     return state_from_payload(payload)
 
 
+def _require_solvable(dims) -> None:
+    """Reject inputs the extension solver cannot take, as input errors."""
+    if len(dims) != 2:
+        raise InputError(f"field 'dims' must name two subsystems, got {list(dims)}")
+    d_a, d_b = dims
+    if d_a * d_b * d_b > MAX_SIDE:
+        raise InputError(
+            f"dims {list(dims)} need an extension of side {d_a * d_b * d_b}, "
+            f"above the supported maximum {MAX_SIDE}"
+        )
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -128,12 +143,14 @@ def cmd_choi(args) -> int:
 def cmd_test(args) -> int:
     loaded = _load_state_or_channel(args.input_file)
     if isinstance(loaded, KrausChannel):
+        _require_solvable((loaded.d_in, loaded.d_out))
         result = test_channel(loaded, tol=args.tol, max_iter=args.max_iter)
         cert = result.certificate
         state = result.choi
         capacity = result.message
     else:
         state = loaded
+        _require_solvable(state.dims)
         cert = solve_extension(
             ExtensionProblem(target=state, tol=args.tol, max_iter=args.max_iter)
         )
@@ -147,6 +164,8 @@ def cmd_test(args) -> int:
         "swap_residual": cert.swap_residual,
         "pt_residual": cert.pt_residual,
         "iterations": cert.iterations,
+        "stop_reason": cert.stop_reason,
+        "witness_margin": cert.witness_margin,
         "capacity": capacity,
     }
     if cert.verdict == FEASIBLE:
@@ -162,6 +181,10 @@ def cmd_test(args) -> int:
         f"residuals: psd={cert.psd_residual:.3e} swap={cert.swap_residual:.3e} "
         f"pt={cert.pt_residual:.3e}"
     )
+    stop = f"stopped by: {cert.stop_reason}"
+    if cert.witness is not None:
+        stop += f" (dual witness margin {cert.witness_margin:.3e})"
+    print(stop)
     print(capacity)
     return 0 if cert.verdict == FEASIBLE else 1
 
@@ -199,6 +222,7 @@ def cmd_sweep_isotropic(args) -> int:
 
 def cmd_param(args) -> int:
     state = state_from_payload(_load_json(args.state_file))
+    _require_solvable(state.dims)
     report = bound_report(
         state,
         tol=args.tol,
@@ -214,6 +238,7 @@ def cmd_param(args) -> int:
         "negativity": report.negativity,
         "distance_estimate": report.parameter.value,
         "fw_gap": report.parameter.fw_gap,
+        "fw_stop": report.parameter.stop_reason,
         "certified_zero": report.certified_zero,
     }
     if args.json:
@@ -222,7 +247,8 @@ def cmd_param(args) -> int:
         print(f"hashing lower bound: {report.lower:.6f} (raw {report.hashing_raw:.6f})")
         print(
             f"distance estimate: {report.parameter.value:.6f} "
-            f"(fw_gap {report.parameter.fw_gap:.2e})"
+            f"(fw_gap {report.parameter.fw_gap:.2e}, "
+            f"stopped by {report.parameter.stop_reason})"
         )
         print(f"extendibility: {report.extendible}; negativity: {report.negativity:.6f}")
         if report.certified_zero:
@@ -309,7 +335,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - exit codes must stay in {0,1,2}
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -31,13 +31,24 @@ is checked directly. If that stage ends without a verdict, Douglas-Rachford
 on C1 vs. C3 takes over from Dykstra's last iterate and spends the rest of
 the budget; its candidates are the C3 projections of its cone points.
 
+Infeasible verdicts come from the dual of the extension problem (Doherty,
+Parrilo and Spedalieri, PRA 69, 022308, 2004). For any Hermitian W on AB,
+every extendible sigma has Tr(W sigma) >= c = lambda_min(sym(W (x) I_B')),
+so a negative margin Tr(W rho) - c proves that rho has no extension.
+Candidate witnesses W = sigma - rho come from Frank-Wolfe steps on
+1/2 ||sigma - rho||^2 over the extendible set, whose linear subproblem is
+the same closed-form eigenvector oracle as the distance's: one step from
+sigma = I/d_AB before the cyclic loop, one more at each residual check. A
+witness ends the solve only after ``verify_witness`` confirms its margin
+beyond a floating-point error bound. Targets the witness does not reach
+still end on the residual plateau (best combined residual at least 10x
+tol, down less than 1% over the trailing quarter), which is numerical
+evidence only; ``stop_reason`` tells the two apart.
+
 Feasible verdicts are certificates: the candidate extension is returned and
 its residuals can be re-derived independently with ``verify_certificate``.
-Infeasible verdicts are numerical evidence (residual plateau well above
-tolerance), not rigorous dual certificates.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +74,10 @@ __all__ = [
     "ExtensionProblem",
     "ExtensionCertificate",
     "CertificateResiduals",
+    "WitnessCheck",
     "solve_extension",
     "verify_certificate",
+    "verify_witness",
     "ChannelTestResult",
     "test_channel",
     "max_extendible_fidelity",
@@ -98,6 +111,11 @@ class ExtensionCertificate:
 
     verdict is one of Feasible / InfeasibleNumerical / Inconclusive;
     Feasible means all three residuals are at or below the requested tol.
+    stop_reason says which rule ended the solve: "tol" (Feasible), "witness"
+    (InfeasibleNumerical proved by a dual witness), "plateau"
+    (InfeasibleNumerical on residual evidence only) or "budget"
+    (Inconclusive). On a witness exit, witness holds W and witness_margin
+    its margin as recomputed by ``verify_witness``; both are None otherwise.
     history holds (iteration, psd, swap, pt) samples at the logging cadence.
     """
 
@@ -107,7 +125,10 @@ class ExtensionCertificate:
     pt_residual: float
     iterations: int
     verdict: str
+    stop_reason: str
     history: list = field(default_factory=list)
+    witness: np.ndarray = None
+    witness_margin: float = None
 
     @property
     def combined_residual(self) -> float:
@@ -123,6 +144,20 @@ class CertificateResiduals:
     @property
     def combined(self) -> float:
         return max(self.psd, self.swap, self.pt)
+
+
+@dataclass(frozen=True)
+class WitnessCheck:
+    """Margin Tr(W rho) - lambda_min(sym(W (x) I_B')) and a bound on its
+    floating-point error; a margin below -error_bound proves the target
+    has no symmetric extension."""
+
+    margin: float
+    error_bound: float
+
+    @property
+    def certified(self) -> bool:
+        return self.margin < -self.error_bound
 
 
 class _Geometry:
@@ -180,6 +215,38 @@ class _Geometry:
     def lift(self, y):
         return self.swap_avg(self.kron_eye(y))
 
+    def lmo(self, g):
+        """Closed-form linear minimization over the extendible set.
+
+        min over extendible sigma of <G, sigma> is c = lambda_min(lift G),
+        attained at the reduction s of the swap-symmetrized projector onto
+        a minimizing eigenvector. Returns (c, s).
+        """
+        m = self.lift(g)
+        w, u = np.linalg.eigh((m + m.conj().T) / 2)
+        v = u[:, 0]
+        s = self.ptrace_last(self.swap_avg(np.outer(v, v.conj())))
+        return float(w[0]), (s + s.conj().T) / 2
+
+    def witness_step(self, sigma):
+        """One Frank-Wolfe step on 1/2 ||sigma - rho||^2 over the extendible set.
+
+        The gradient W = sigma - rho is the candidate witness, and the
+        oracle's value c gives its margin Tr(W rho) - c. The objective is
+        quadratic along the step direction, so the line search is exact:
+        t = <W, sigma - s> / ||sigma - s||^2, clipped to [0, 1].
+        Returns (W, margin, next sigma).
+        """
+        w_op = sigma - self.rho
+        c, s = self.lmo(w_op)
+        margin = float(np.real(linalg.hs_inner(w_op, self.rho))) - c
+        step = sigma - s
+        norm2 = float(np.real(linalg.hs_inner(step, step)))
+        t = 0.0
+        if norm2 > 0:
+            t = min(1.0, max(0.0, float(np.real(linalg.hs_inner(w_op, step))) / norm2))
+        return w_op, margin, sigma - t * step
+
     def psd_project(self, m):
         w, u = np.linalg.eigh(m)
         y = (u * np.clip(w, 0.0, None)) @ u.conj().T
@@ -206,7 +273,7 @@ def _stalled(history, k, best_combined, tol):
     """Plateau rule on the running-best combined residual.
 
     Using the best value seen keeps the reported certificate consistent
-    with the verdict: an InfeasibleNumerical exit always carries a best
+    with the verdict: a plateau exit always carries a best
     candidate whose combined residual is still at least 10x tol.
     """
     if k < STALL_MIN_ITER or best_combined < STALL_FACTOR * tol:
@@ -221,12 +288,17 @@ def _stalled(history, k, best_combined, tol):
 def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     """Search for a symmetric extension of the target state.
 
-    Stage one runs Dykstra's cyclic projections over C1, C2 and C3 from the
-    start point target (x) I/d_B; only the cone keeps a correction. Every
-    ``log_every`` steps the residuals of the current C3 point are measured:
-    at or below tol it is returned as Feasible, and the plateau rule may
-    declare numerical infeasibility (combined residual at least 10x tol,
-    down less than 1% over the trailing quarter).
+    The start point target (x) I/d_B is checked first; it is already an
+    extension when the target is rho_A (x) I/d_B. Before the first step, one witness step from
+    sigma = I/d_AB tries W = I/d_AB - target. Stage one then runs Dykstra's cyclic projections
+    over C1, C2 and C3 from the start point; only the cone keeps a
+    correction. Every ``log_every`` steps the residuals of the
+    current C3 point are measured: at or below tol it is returned as
+    Feasible. Otherwise one more witness step runs, and a witness that
+    ``verify_witness`` confirms ends the solve as InfeasibleNumerical. The
+    plateau rule (combined residual at least 10x tol, down less than 1%
+    over the trailing quarter) is the fallback for targets no witness
+    reaches.
 
     If that stage ends unresolved, a Douglas-Rachford stage on C1 and C3,
     started at Dykstra's last iterate, consumes the remaining budget; its
@@ -243,11 +315,13 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
 
     x = np.kron(target.matrix, geo.eye_b / d_b)
     p = np.zeros_like(x)
+    sigma = np.eye(geo.d_ab, dtype=complex) / geo.d_ab
 
     history = []
-    best = (math.inf, x, (math.inf, math.inf, math.inf))
+    start = geo.residual_triple(x)
+    best = (max(start), x, start)
 
-    def finish(verdict, iterations):
+    def finish(verdict, iterations, stop_reason, witness=None, margin=None):
         _, candidate, residuals = best
         return ExtensionCertificate(
             candidate=candidate,
@@ -256,8 +330,27 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
             pt_residual=residuals[2],
             iterations=iterations,
             verdict=verdict,
+            stop_reason=stop_reason,
             history=history,
+            witness=witness,
+            witness_margin=margin,
         )
+
+    def witness_exit(iterations):
+        nonlocal sigma
+        w_op, margin, sigma = geo.witness_step(sigma)
+        if margin >= 0:
+            return None
+        check = verify_witness(w_op, target)
+        if not check.certified:
+            return None
+        return finish(INFEASIBLE_NUMERICAL, iterations, "witness", w_op, check.margin)
+
+    if best[0] <= problem.tol:
+        return finish(FEASIBLE, 0, "tol")
+    done = witness_exit(0)
+    if done is not None:
+        return done
 
     for k in range(1, problem.max_iter + 1):
         if k <= STAGE1_ITERS:
@@ -279,11 +372,14 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
             if max(triple) < best[0]:
                 best = (max(triple), cand, triple)
             if best[0] <= problem.tol:
-                return finish(FEASIBLE, k)
+                return finish(FEASIBLE, k, "tol")
+            done = witness_exit(k)
+            if done is not None:
+                return done
             if _stalled(history, k, best[0], problem.tol):
-                return finish(INFEASIBLE_NUMERICAL, k)
+                return finish(INFEASIBLE_NUMERICAL, k, "plateau")
 
-    return finish(INCONCLUSIVE, problem.max_iter)
+    return finish(INCONCLUSIVE, problem.max_iter, "budget")
 
 
 def verify_certificate(x, target: DensityMatrix) -> CertificateResiduals:
@@ -310,6 +406,50 @@ def verify_certificate(x, target: DensityMatrix) -> CertificateResiduals:
     pt = float(np.linalg.norm(reduced - target.matrix))
 
     return CertificateResiduals(psd=psd, swap=swap, pt=pt)
+
+
+def verify_witness(w, target: DensityMatrix) -> WitnessCheck:
+    """Recompute the margin of a dual witness from scratch.
+
+    For Hermitian W on AB, every extendible sigma has Tr(W sigma) >= c =
+    lambda_min(M), M = sym(W (x) I_B'), so a margin Tr(W rho) - c below
+    -error_bound proves the target rho has no symmetric extension. Only
+    the Hermitian part of w is used. Independent of the solver: the lift
+    goes through np.kron and an explicit permutation matrix.
+
+    error_bound bounds the rounding error of the computed margin, with
+    eps the machine epsilon and n = d_A d_B:
+      * forming M: the Kronecker product with I and the permutation
+        products are exact, and the average rounds each entry once, a
+        perturbation of at most eps ||M||_F (M stays exactly Hermitian);
+      * eigvalsh is backward stable, so by Weyl's inequality its smallest
+        eigenvalue is off by at most p(side) eps ||M||_2, p a modestly
+        growing function (LAPACK Users' Guide, section 4.7); side stands
+        in for p, and ||M||_F >= ||M||_2;
+      * Tr(W rho) sums n^2 complex products, off by at most
+        n^2 eps ||W||_F ||rho||_F (summation bound and Cauchy-Schwarz).
+    The total is eps ((side + 1) ||M||_F + n^2 ||W||_F ||rho||_F).
+    """
+    w = np.asarray(w, dtype=complex)
+    d_a, d_b = target.dims
+    n = d_a * d_b
+    side = n * d_b
+    if w.shape != (n, n):
+        raise ValueError(f"witness shape {w.shape} does not match ({n}, {n})")
+    w = (w + w.conj().T) / 2
+    rho = target.matrix
+
+    lifted = np.kron(w, np.eye(d_b))
+    v = linalg.swap_operator((d_a, d_b, d_b), 1, 2)
+    m = (lifted + v @ lifted @ v) / 2
+    c = float(np.linalg.eigvalsh(m)[0])
+    value = float(np.real(np.sum(w * rho.T)))
+
+    eps = np.finfo(float).eps
+    norm_m = float(np.linalg.norm(m))
+    norm_trace = float(np.linalg.norm(w) * np.linalg.norm(rho))
+    bound = float(eps * ((side + 1) * norm_m + n * n * norm_trace))
+    return WitnessCheck(margin=value - c, error_bound=bound)
 
 
 @dataclass(eq=False)

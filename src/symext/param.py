@@ -51,8 +51,8 @@ class ParamResult:
     """Distance estimate: value = scale * R(embedded target || nearest).
 
     fw_gap is the certified width: the true infimum lies in
-    [value - scale * fw_gap, value]. fw_gap > gap_tol means the iteration
-    budget stopped Frank-Wolfe before the gap did.
+    [value - scale * fw_gap, value]. stop_reason is "gap" when Frank-Wolfe
+    stopped on gap_tol and "budget" when the iteration budget ran out.
     """
 
     value: float
@@ -60,6 +60,7 @@ class ParamResult:
     fw_gap: float
     iterations: int
     scale: float
+    stop_reason: str
 
 
 def _grad_and_value(rho: np.ndarray, sigma: np.ndarray, c_rho: float):
@@ -83,20 +84,6 @@ def _grad_and_value(rho: np.ndarray, sigma: np.ndarray, c_rho: float):
     return value, (g + g.conj().T) / 2
 
 
-def _lmo(grad: np.ndarray, geo: _Geometry) -> np.ndarray:
-    """Closed-form linear minimization over the extendible set.
-
-    min over extendible sigma of <G, sigma> equals the minimum eigenvalue of
-    the swap-symmetrized lift G (x) I, attained at the reduction of the
-    symmetrized minimum-eigenvector projector.
-    """
-    m = geo.lift(grad)
-    w, u = np.linalg.eigh((m + m.conj().T) / 2)
-    v = u[:, 0]
-    s = geo.ptrace_last(geo.swap_avg(np.outer(v, v.conj())))
-    return (s + s.conj().T) / 2
-
-
 def distance_to_extendible(
     rho: DensityMatrix, max_iter: int = 2000, gap_tol: float = 1e-5,
     extendible: bool | None = None,
@@ -111,8 +98,9 @@ def distance_to_extendible(
     that bound or the iteration budget runs out.
 
     extendible says whether rho has a symmetric extension, if the caller
-    has already decided it (zero-padding keeps that verdict); None runs a
-    quick extension solve here. An extendible state is its own optimum
+    has already decided it (zero-padding keeps that verdict); None runs an
+    extension solve here, which a dual witness usually ends at once on a
+    state that is not extendible. An extendible state is its own optimum
     (distance exactly zero), so the descent starts there and terminates
     immediately. Otherwise iterates start at the maximally mixed state.
     """
@@ -137,11 +125,13 @@ def distance_to_extendible(
     value, grad = _grad_and_value(rho_t, sigma, c_rho)
     lower = -math.inf
     iterations = 0
+    stop_reason = "budget"
     for k in range(1, max_iter + 1):
         iterations = k
-        s = _lmo(grad, geo)
+        _, s = geo.lmo(grad)
         lower = max(lower, value - float(np.real(linalg.hs_inner(grad, sigma - s))))
         if value - lower <= gap_tol:
+            stop_reason = "gap"
             break
         sigma = sigma + 2.0 / (k + 2) * (s - sigma)
         sigma = (sigma + floor) / (1.0 + SIGMA_FLOOR)
@@ -156,6 +146,7 @@ def distance_to_extendible(
         fw_gap=max(final_value - lower, 0.0),
         iterations=iterations,
         scale=scale,
+        stop_reason=stop_reason,
     )
 
 

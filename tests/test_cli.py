@@ -99,6 +99,52 @@ def test_cmd_test_infeasible_state(tmp_path):
     assert main(["test", str(infile)]) == 1
 
 
+def test_cmd_test_witness_report(tmp_path, capsys):
+    infile = tmp_path / "state.json"
+    report = tmp_path / "report.json"
+    write_json(infile, state_to_payload(isotropic(2, 0.9)))
+    assert main(["test", str(infile), str(report)]) == 1
+    out = capsys.readouterr().out
+    assert "stopped by: witness" in out
+    text = report.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    payload = json.loads(text)
+    assert payload["verdict"] == "InfeasibleNumerical"
+    assert payload["stop_reason"] == "witness"
+    assert payload["witness_margin"] < 0
+    assert payload["iterations"] == 0
+    assert "extension" not in payload
+
+
+def test_cmd_test_feasible_report_has_no_witness(tmp_path):
+    infile = tmp_path / "state.json"
+    report = tmp_path / "report.json"
+    write_json(infile, state_to_payload(isotropic(2, 0.7)))
+    assert main(["test", str(infile), str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["stop_reason"] == "tol"
+    assert payload["witness_margin"] is None
+
+
+def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypatch):
+    import symext.cli as cli
+
+    infile = tmp_path / "state.json"
+    write_json(infile, {"dims": [2, 2, 2], "matrix": encode_matrix(np.eye(8) / 8)})
+    assert main(["test", str(infile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "two subsystems" in err
+
+    def broken(problem):
+        raise RuntimeError("solver fault")
+
+    write_json(infile, state_to_payload(isotropic(2, 0.7)))
+    monkeypatch.setattr(cli, "solve_extension", broken)
+    assert main(["test", str(infile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: solver fault")
+
+
 def test_cmd_test_channel_file(tmp_path, capsys):
     from symext.quantum import depolarizing_channel
 
@@ -171,6 +217,7 @@ def test_cmd_param_json(tmp_path, capsys):
     assert payload["certified_zero"] is True
     assert payload["upper"] == 0.0
     assert payload["negativity"] > 0.05
+    assert payload["fw_stop"] == "gap"
 
 
 def test_cmd_param_prints_certified_line(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symext import linalg
+from symext import extend, linalg
 from symext.constructions import (
     ExampleFamilyParams,
     boundary_isotropic_extension,
@@ -15,12 +15,14 @@ from symext.extend import (
     FEASIBLE,
     INFEASIBLE_NUMERICAL,
     ExtensionProblem,
+    WitnessCheck,
     _Geometry,
     bob_side_map_preserves,
     max_extendible_fidelity,
     run_isotropic_sweep,
     solve_extension,
     verify_certificate,
+    verify_witness,
 )
 from symext.extend import test_channel as channel_capacity_test
 from symext.quantum import (
@@ -76,6 +78,13 @@ def test_product_state_feasible():
     cert = solve(DensityMatrix(np.kron(a.matrix, b.matrix), (2, 2)))
     assert cert.verdict == FEASIBLE
 
+    # for rho_A (x) I/d_B the start point target (x) I/d_B is an extension
+    target = DensityMatrix(np.kron(a.matrix, np.eye(3) / 3), (2, 3))
+    cert = solve(target)
+    assert cert.verdict == FEASIBLE
+    assert cert.iterations == 0 and cert.stop_reason == "tol"
+    assert verify_certificate(cert.candidate, target).combined <= 1e-7
+
 
 def test_example_family_feasible_at_04():
     cert = solve(example_state(0.4))
@@ -87,6 +96,71 @@ def test_isotropic_above_boundary_infeasible():
     cert = solve(isotropic(2, 0.80))
     assert cert.verdict == INFEASIBLE_NUMERICAL
     assert cert.combined_residual >= 10 * 1e-7
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_witness_certifies_isotropic_above_boundary(d):
+    target = isotropic(d, isotropic_boundary_fidelity(d) + 0.01)
+    cert = solve(target)
+    assert cert.verdict == INFEASIBLE_NUMERICAL
+    assert cert.stop_reason == "witness"
+    assert cert.iterations == 0
+    check = verify_witness(cert.witness, target)
+    assert check.certified
+    assert cert.witness_margin == check.margin
+    # the step-0 exit reports the start point's finite residuals
+    assert np.isfinite(cert.combined_residual)
+    assert cert.combined_residual >= 10 * 1e-7
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
+def test_witness_certifies_entangled_pure_non_square(dims):
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        target = random_entangled_pure(rng, dims)
+        cert = solve(target)
+        assert cert.stop_reason == "witness"
+        assert verify_witness(cert.witness, target).certified
+
+
+def test_witness_step_is_an_exact_line_search():
+    target = isotropic(3, 0.9)
+    geo = _Geometry(target.dims, target.matrix, 1e-7)
+    sigma = np.eye(9, dtype=complex) / 9
+    w_op, margin, nxt = geo.witness_step(sigma)
+    assert np.allclose(w_op, sigma - target.matrix)
+    check = verify_witness(w_op, target)
+    assert margin == pytest.approx(check.margin, abs=1e-12)
+    # no point of the segment towards the oracle's extreme point is closer
+    _, s = geo.lmo(w_op)
+    dist = linalg.hs_norm(nxt - target.matrix)
+    assert dist < linalg.hs_norm(w_op)
+    for t in np.linspace(0.0, 1.0, 101):
+        assert dist <= linalg.hs_norm(sigma + t * (s - sigma) - target.matrix) + 1e-12
+
+
+def test_verify_witness_negative_controls():
+    target = isotropic(2, 0.8)
+    w_op = solve(target).witness
+    assert verify_witness(w_op, target).certified
+    # the flipped sign is no witness
+    assert not verify_witness(-w_op, target).certified
+    # the target moved onto or inside the extendible set: no W may certify it
+    for f in (0.75, 0.7):
+        check = verify_witness(w_op, isotropic(2, f))
+        assert not check.certified
+        assert check.margin >= -check.error_bound
+    with pytest.raises(ValueError, match="shape"):
+        verify_witness(np.eye(8), target)
+
+
+def test_verify_witness_error_bound_scales_with_the_witness():
+    target = isotropic(3, 0.8)
+    w_op = solve(target).witness
+    small, big = verify_witness(w_op, target), verify_witness(1e6 * w_op, target)
+    assert 0 < small.error_bound < 1e-12
+    assert big.error_bound == pytest.approx(1e6 * small.error_bound, rel=1e-6)
+    assert big.margin == pytest.approx(1e6 * small.margin, rel=1e-9)
 
 
 def test_feasible_certificates_verify_independently():
@@ -116,6 +190,21 @@ def test_verify_certificate_reports_honest_swap_residual():
     assert res.psd <= 1e-12 and res.pt <= 1e-12
     with pytest.raises(ValueError, match="shape"):
         verify_certificate(np.eye(8), target)
+
+
+def test_stop_reasons_plateau_and_budget(monkeypatch):
+    # a budget too short for the solver to reach tol, on an extendible target
+    cert = solve(isotropic(4, 0.6), max_iter=50)
+    assert cert.verdict == "Inconclusive" and cert.stop_reason == "budget"
+    assert cert.witness is None
+
+    # with every witness rejected, the residual plateau still decides
+    monkeypatch.setattr(
+        extend, "verify_witness", lambda w, target: WitnessCheck(0.0, 1.0)
+    )
+    cert = solve(isotropic(2, 0.8))
+    assert cert.verdict == INFEASIBLE_NUMERICAL and cert.stop_reason == "plateau"
+    assert cert.iterations >= 2000 and cert.witness is None
 
 
 def test_channel_verdicts():
@@ -187,6 +276,8 @@ def test_small_batteries(dims):
     for _ in range(10):
         cert = solve(random_separable(rng, dims), max_iter=40000)
         assert cert.verdict == FEASIBLE
+        assert cert.stop_reason == "tol"
+        assert cert.witness is None and cert.witness_margin is None
     for _ in range(10):
         cert = solve(random_entangled_pure(rng, dims))
         assert cert.verdict != FEASIBLE

@@ -168,6 +168,30 @@ def test_bound_report_solves_the_extension_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_standalone_probe_exits_by_witness(monkeypatch):
+    # without a verdict from the caller, the distance probes extendibility
+    # itself; on a non-extendible state a dual witness ends that probe
+    certs = []
+
+    def recording_solve(problem):
+        cert = solve_extension(problem)
+        certs.append(cert)
+        return cert
+
+    monkeypatch.setattr(param, "solve_extension", recording_solve)
+    distance_to_extendible(isotropic(2, 0.9), max_iter=10)
+    assert len(certs) == 1
+    assert certs[0].stop_reason == "witness"
+    assert certs[0].iterations == 0
+
+
+def test_fw_stop_reason():
+    assert distance_to_extendible(example_state(0.45)).stop_reason == "gap"
+    result = distance_to_extendible(isotropic(2, 0.8), max_iter=20)
+    assert result.stop_reason == "budget"
+    assert result.fw_gap > 1e-5
+
+
 def test_two_copy_maxent_additive():
     value = two_copy_estimate(maxent(2), max_iter=3000)
     assert value == pytest.approx(1.0, abs=2e-3)
