@@ -5,8 +5,8 @@ channels travel as JSON with [re, im] pairs in row-major nested arrays;
 sweeps produce CSV. Exit codes: 0 = certified feasible (zero one-way
 capacity), 1 = not certified, 2 = error. Code 1 makes no claim of
 positive capacity; the test is one-sided. Errors print to stderr as
-"input error: ..." for a bad input file and as "internal error: <type>:
-..." for a fault inside the program.
+"input error: ..." for a bad input file or a non-positive numeric option
+and as "internal error: <type>: ..." for a fault inside the program.
 """
 
 import argparse
@@ -126,6 +126,14 @@ def _require_solvable(dims) -> None:
         )
 
 
+def _require_positive(args, *names) -> None:
+    """Reject non-positive (or NaN) numeric options as input errors."""
+    for name in names:
+        value = getattr(args, name)
+        if not value > 0:
+            raise InputError(f"--{name.replace('_', '-')} must be positive, got {value}")
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -141,6 +149,7 @@ def cmd_choi(args) -> int:
 
 
 def cmd_test(args) -> int:
+    _require_positive(args, "tol", "max_iter")
     loaded = _load_state_or_channel(args.input_file)
     if isinstance(loaded, KrausChannel):
         _require_solvable((loaded.d_in, loaded.d_out))
@@ -190,6 +199,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_sweep_isotropic(args) -> int:
+    _require_positive(args, "tol", "max_iter")
     if not 2 <= args.d <= 4:
         raise InputError(f"sweep supports dimensions 2..4, got {args.d}")
     if not (0.0 <= args.f_min <= args.f_max <= 1.0) or args.steps < 1:
@@ -203,7 +213,6 @@ def cmd_sweep_isotropic(args) -> int:
         args.steps,
         tol=args.tol,
         max_iter=args.max_iter,
-        parallel=args.parallel,
     )
     with open(args.out_csv, "w") as fh:
         fh.write("F,verdict,psd_res,swap_res,pt_res,iters\n")
@@ -221,6 +230,7 @@ def cmd_sweep_isotropic(args) -> int:
 
 
 def cmd_param(args) -> int:
+    _require_positive(args, "tol", "max_iter", "fw_max_iter", "gap_tol")
     state = state_from_payload(_load_json(args.state_file))
     _require_solvable(state.dims)
     report = bound_report(
@@ -306,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=cmd_sweep_isotropic)
 
     p = sub.add_parser("param", help="bounds on one-way distillable entanglement")

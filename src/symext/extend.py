@@ -1,54 +1,49 @@
-"""Symmetric-extendibility test by cyclic projection feasibility.
+"""Symmetric-extendibility test by the smooth dual of a projection problem.
 
-A bipartite state on A (x) B is symmetrically extendible when some PSD,
-trace-one matrix on A (x) B (x) B' is invariant under swapping B and B'
-and reduces to the state when B' is traced out. The solver works in
-Hermitian-matrix space with three convex sets:
+A bipartite state rho on A (x) B is symmetrically extendible when some PSD
+matrix X on A (x) B (x) B' is invariant under swapping B and B' and
+reduces to rho when B' is traced out. The solver looks for the extension
+of least Frobenius norm,
 
-  C1  the PSD cone                       (eigenvalue clamp)
-  C2  the forced-support subspace        (see below; skipped when trivial)
-  C3  the affine set of swap-invariant matrices with Tr_B' X = target
-                                         (exact closed-form projection)
+  min 1/2 ||X||^2  over X >= 0, X = P X P, X swap-invariant, Tr_B' X = rho,
 
-The projection onto C3 first averages with the swapped copy, S = sym(X),
-then removes the lift sym(Y (x) I_B') of the marginal deficit. On the
-swap-invariant subspace the reduction Tr_B' and the lift are adjoint, and
-Tr_B' sym(Y (x) I_B') = (d_B Y + Tr_B(Y) (x) I_B) / 2, which inverts in
-closed form: with Z = Tr_B'(S) - target, Y_A = Tr_B(Z) / d_B and
-Y = (2 Z - Y_A (x) I_B) / d_B.
+and works on its dual (Malick, SIAM J. Matrix Anal. Appl. 26, 2004). P is
+the forced-support projector: any PSD extension of a rank-deficient rho
+vanishes on ker(rho) (x) B' and, by swap symmetry, on its swapped image,
+so every extension lives in the range of P (None when that is everything).
+On swap-invariant matrices the reduction Tr_B' and the lift
+lift(y) = sym(y (x) I_B') are adjoint, so the dual is the smooth,
+unconstrained convex function of a Hermitian y on A (x) B
 
-C2 exploits that any PSD extension of a rank-deficient target must vanish
-on ker(target) (x) B' and, by swap symmetry, on its swapped image, so all
-feasible points live in a fixed subspace. Projecting onto it each cycle
-does not change the intersection but removes the slowly-decaying kernel
-modes that otherwise dominate the iteration count.
+  theta(y) = 1/2 ||X(y)||^2 - Re<rho, y>,   X(y) = Pi_+(P lift(y) P),
 
-Stage one runs Dykstra's cyclic projections over C1, C2, C3 for
-STAGE1_ITERS steps. Only the cone keeps a correction term: the other two
-sets are a subspace and an affine set with exact projections, for which
-Dykstra's correction has no effect. Each step ends on C3, so the iterate
-is checked directly. If that stage ends without a verdict, Douglas-Rachford
-on C1 vs. C3 takes over from Dykstra's last iterate and spends the rest of
-the budget; its candidates are the C3 projections of its cone points.
+with gradient Tr_B' X(y) - rho; Pi_+ clamps negative eigenvalues. A
+two-loop L-BFGS with Armijo backtracking minimizes it. Each evaluation
+costs one eigh of P lift(y) P, which gives both exits:
 
-Infeasible verdicts come from the dual of the extension problem (Doherty,
-Parrilo and Spedalieri, PRA 69, 022308, 2004). For any Hermitian W on AB,
-every extendible sigma has Tr(W sigma) >= c = lambda_min(sym(W (x) I_B')),
-so a negative margin Tr(W rho) - c proves that rho has no extension.
-Candidate witnesses W = sigma - rho come from Frank-Wolfe steps on
-1/2 ||sigma - rho||^2 over the extendible set, whose linear subproblem is
-the same closed-form eigenvector oracle as the distance's: one step from
-sigma = I/d_AB before the cyclic loop, one more at each residual check. A
-witness ends the solve only after ``verify_witness`` confirms its margin
-beyond a floating-point error bound. Targets the witness does not reach
-still end on the residual plateau (best combined residual at least 10x
-tol, down less than 1% over the trailing quarter), which is numerical
-evidence only; ``stop_reason`` tells the two apart.
+  * Feasible: X(y) is PSD and swap-invariant by construction, so once the
+    gradient norm (the marginal residual) is at most tol, X(y) is an
+    extension within tol. Its residuals are re-measured before the exit,
+    and ``verify_certificate`` re-derives them independently.
+  * Infeasible: for Hermitian W on AB, every extendible sigma has
+    Tr(W sigma) >= lambda_min(lift W) (Doherty, Parrilo and Spedalieri,
+    PRA 69, 022308, 2004), so a negative margin Tr(W rho) - lambda_min
+    proves rho has no extension. Any extension X of rho satisfies
+    Re<rho, y> = <X, P lift(y) P> <= lambda_max(P lift(y) P), so the free
+    test lambda_max(P lift(y) P) < Re<rho, y> cannot hold for an
+    extendible rho; the dual is unbounded below exactly when rho is not
+    extendible, and its descent then drives y into this region. When the
+    test fires, W = -y is tried, and within a face also W = -y + c K with
+    K the projector onto ker(rho): Tr(K rho) = 0 and lift(K) >= 0 vanishes
+    exactly on range P, so a large enough c moves lambda_min(lift W) onto
+    the face. A witness ends the solve only after ``verify_witness``
+    confirms its margin beyond a floating-point error bound.
 
-Feasible verdicts are certificates: the candidate extension is returned and
-its residuals can be re-derived independently with ``verify_certificate``.
+A target rho_A (x) I/d_B is caught before the dual starts: the start point
+rho (x) I/d_B is then already an extension.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +57,7 @@ INFEASIBLE_NUMERICAL = "InfeasibleNumerical"
 INCONCLUSIVE = "Inconclusive"
 
 MAX_SIDE = 1024
-STAGE1_ITERS = 3000
-STALL_MIN_ITER = 2000
-STALL_FACTOR = 10.0
-STALL_DECREASE = 0.01
+LBFGS_MEMORY = 20
 
 __all__ = [
     "FEASIBLE",
@@ -112,11 +104,11 @@ class ExtensionCertificate:
     verdict is one of Feasible / InfeasibleNumerical / Inconclusive;
     Feasible means all three residuals are at or below the requested tol.
     stop_reason says which rule ended the solve: "tol" (Feasible), "witness"
-    (InfeasibleNumerical proved by a dual witness), "plateau"
-    (InfeasibleNumerical on residual evidence only) or "budget"
+    (InfeasibleNumerical, proved by a dual witness) or "budget"
     (Inconclusive). On a witness exit, witness holds W and witness_margin
     its margin as recomputed by ``verify_witness``; both are None otherwise.
-    history holds (iteration, psd, swap, pt) samples at the logging cadence.
+    iterations counts dual evaluations. history holds (evaluation, psd,
+    swap, pt) samples of the dual's candidate at the logging cadence.
     """
 
     candidate: np.ndarray
@@ -163,8 +155,8 @@ class WitnessCheck:
 class _Geometry:
     """Extension geometry on A (x) B (x) B', shared by the solver and the
     Frank-Wolfe oracle: swap average, reduction Tr_B', lift
-    Y -> sym(Y (x) I_B'). Given a target state it also carries the exact
-    projection onto C3 and the forced-support projector of C2."""
+    Y -> sym(Y (x) I_B'). Given a target state it also carries the
+    forced-support projector pi_t and the projector ker onto ker(target)."""
 
     def __init__(self, dims, rho=None, tol=None):
         d_a, d_b = dims
@@ -174,23 +166,28 @@ class _Geometry:
         self.shape6 = (d_a, d_b, d_b) * 2
         self.eye_b = np.eye(d_b)
         self.rho = None if rho is None else np.asarray(rho)
-        self.pi_t = None if rho is None else self._support_projector(tol)
+        self.pi_t = self.ker = None
+        if rho is not None:
+            self._support_projector(tol)
 
     def _support_projector(self, tol: float):
         # For |psi> in ker(rho), positivity of X and Tr_B' X = rho force
         # X (|psi> (x) |k>) = 0; swap invariance forces the same on the
-        # swapped image. None when the forced subspace is everything.
+        # swapped image. Both stay None when the forced subspace is everything.
         w, u = np.linalg.eigh(self.rho)
         thresh = max(1e-12, 1e-4 * tol) * max(1.0, float(w.max()))
         supp = u[:, w > thresh]
         if supp.shape[1] == self.d_ab:
-            return None
-        pi1 = self.kron_eye(supp @ supp.conj().T)
+            return
+        supp_proj = supp @ supp.conj().T
+        pi1 = self.kron_eye(supp_proj)
         pi2 = linalg.swap_conjugate(pi1, (self.d_a, self.d_b, self.d_b), 1, 2)
         wt, ut = np.linalg.eigh(pi1 + pi2)
         basis = ut[:, wt > 2.0 - 1e-9]
         pi = basis @ basis.conj().T
-        return (pi + pi.conj().T) / 2
+        self.pi_t = (pi + pi.conj().T) / 2
+        ker = np.eye(self.d_ab) - supp_proj
+        self.ker = (ker + ker.conj().T) / 2
 
     def swap_avg(self, m):
         flipped = m.reshape(self.shape6).transpose(0, 2, 1, 3, 5, 4)
@@ -228,39 +225,17 @@ class _Geometry:
         s = self.ptrace_last(self.swap_avg(np.outer(v, v.conj())))
         return float(w[0]), (s + s.conj().T) / 2
 
-    def witness_step(self, sigma):
-        """One Frank-Wolfe step on 1/2 ||sigma - rho||^2 over the extendible set.
-
-        The gradient W = sigma - rho is the candidate witness, and the
-        oracle's value c gives its margin Tr(W rho) - c. The objective is
-        quadratic along the step direction, so the line search is exact:
-        t = <W, sigma - s> / ||sigma - s||^2, clipped to [0, 1].
-        Returns (W, margin, next sigma).
-        """
-        w_op = sigma - self.rho
-        c, s = self.lmo(w_op)
-        margin = float(np.real(linalg.hs_inner(w_op, self.rho))) - c
-        step = sigma - s
-        norm2 = float(np.real(linalg.hs_inner(step, step)))
-        t = 0.0
-        if norm2 > 0:
-            t = min(1.0, max(0.0, float(np.real(linalg.hs_inner(w_op, step))) / norm2))
-        return w_op, margin, sigma - t * step
-
-    def psd_project(self, m):
-        w, u = np.linalg.eigh(m)
-        y = (u * np.clip(w, 0.0, None)) @ u.conj().T
-        return (y + y.conj().T) / 2
-
-    def affine_project(self, m):
-        """Exact projection onto C3, the swap-invariant matrices with
-        Tr_B' X = rho (closed form in the module docstring)."""
-        s = self.swap_avg(m)
-        z = self.ptrace_last(s) - self.rho
-        t = z.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
-        y_a = np.trace(t, axis1=1, axis2=3) / self.d_b
-        y = (2 * z - self.kron_eye(y_a)) / self.d_b
-        return s - self.lift(y)
+    def dual(self, y):
+        """From one eigh of P lift(y) P: theta(y), its gradient
+        Tr_B' X(y) - rho, the candidate X(y) = Pi_+(P lift(y) P) and the
+        free margin lambda_max(P lift(y) P) - Re<rho, y>."""
+        w, u = np.linalg.eigh(self.support_apply(self.lift(y)))
+        w_pos = np.clip(w, 0.0, None)
+        x = (u * w_pos) @ u.conj().T
+        x = (x + x.conj().T) / 2
+        rho_y = linalg.hs_inner(self.rho, y).real
+        value = 0.5 * float(w_pos @ w_pos) - rho_y
+        return value, self.ptrace_last(x) - self.rho, x, float(w[-1]) - rho_y
 
     def residual_triple(self, m):
         swap_res = 2.0 * linalg.hs_norm(m - self.swap_avg(m))
@@ -269,42 +244,35 @@ class _Geometry:
         return (max(0.0, -wmin), swap_res, pt_res)
 
 
-def _stalled(history, k, best_combined, tol):
-    """Plateau rule on the running-best combined residual.
-
-    Using the best value seen keeps the reported certificate consistent
-    with the verdict: a plateau exit always carries a best
-    candidate whose combined residual is still at least 10x tol.
-    """
-    if k < STALL_MIN_ITER or best_combined < STALL_FACTOR * tol:
-        return False
-    past = [h for h in history if h[0] <= 0.75 * k]
-    if not past:
-        return False
-    ref = min(max(h[1], h[2], h[3]) for h in past)
-    return ref > 0 and (ref - best_combined) < STALL_DECREASE * ref
+def _lbfgs_direction(grad, memory):
+    """Two-loop recursion: minus the L-BFGS inverse-Hessian estimate times
+    grad, from the stored (s, g_diff, 1 / <s, g_diff>) pairs."""
+    q = grad.copy()
+    alphas = []
+    for s, g_diff, r in reversed(memory):
+        alphas.append(r * linalg.hs_inner(s, q).real)
+        q -= alphas[-1] * g_diff
+    if memory:
+        s, g_diff, _ = memory[-1]
+        q *= linalg.hs_inner(s, g_diff).real / linalg.hs_inner(g_diff, g_diff).real
+    for (s, g_diff, r), a in zip(memory, reversed(alphas)):
+        q += (a - r * linalg.hs_inner(g_diff, q).real) * s
+    return -q
 
 
 def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     """Search for a symmetric extension of the target state.
 
     The start point target (x) I/d_B is checked first; it is already an
-    extension when the target is rho_A (x) I/d_B. Before the first step, one witness step from
-    sigma = I/d_AB tries W = I/d_AB - target. Stage one then runs Dykstra's cyclic projections
-    over C1, C2 and C3 from the start point; only the cone keeps a
-    correction. Every ``log_every`` steps the residuals of the
-    current C3 point are measured: at or below tol it is returned as
-    Feasible. Otherwise one more witness step runs, and a witness that
-    ``verify_witness`` confirms ends the solve as InfeasibleNumerical. The
-    plateau rule (combined residual at least 10x tol, down less than 1%
-    over the trailing quarter) is the fallback for targets no witness
-    reaches.
-
-    If that stage ends unresolved, a Douglas-Rachford stage on C1 and C3,
-    started at Dykstra's last iterate, consumes the remaining budget; its
-    candidate is the C3 projection of its cone point, checked the same way,
-    so a Feasible verdict always carries a verified candidate regardless of
-    which stage produced it.
+    extension when the target is rho_A (x) I/d_B. Otherwise L-BFGS with
+    Armijo backtracking minimizes the dual theta from y = 0 (see the module
+    docstring); the first step goes to y = target. Every dual evaluation,
+    line-search trials included, counts against ``max_iter`` and is
+    checked for both exits: a gradient norm at or below tol whose
+    candidate X(y) re-measures within tol ends the solve as Feasible, and a
+    negative free margin that ``verify_witness`` confirms for W = -y (or,
+    within a face, W = -y + c K) ends it as InfeasibleNumerical. When the
+    budget runs out the verdict is Inconclusive, with the last candidate.
     """
     target = problem.target
     d_a, d_b = target.dims
@@ -312,74 +280,58 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     if side > MAX_SIDE:
         raise ValueError(f"extension side {side} exceeds supported maximum {MAX_SIDE}")
     geo = _Geometry(target.dims, target.matrix, problem.tol)
-
-    x = np.kron(target.matrix, geo.eye_b / d_b)
-    p = np.zeros_like(x)
-    sigma = np.eye(geo.d_ab, dtype=complex) / geo.d_ab
-
+    rho, tol = geo.rho, problem.tol
     history = []
-    start = geo.residual_triple(x)
-    best = (max(start), x, start)
 
-    def finish(verdict, iterations, stop_reason, witness=None, margin=None):
-        _, candidate, residuals = best
+    def finish(x, verdict, iterations, stop_reason, witness=None, margin=None):
+        psd, swap, pt = geo.residual_triple(x)
         return ExtensionCertificate(
-            candidate=candidate,
-            psd_residual=residuals[0],
-            swap_residual=residuals[1],
-            pt_residual=residuals[2],
-            iterations=iterations,
-            verdict=verdict,
-            stop_reason=stop_reason,
-            history=history,
-            witness=witness,
-            witness_margin=margin,
+            x, psd, swap, pt, iterations, verdict, stop_reason, history, witness, margin
         )
 
-    def witness_exit(iterations):
-        nonlocal sigma
-        w_op, margin, sigma = geo.witness_step(sigma)
-        if margin >= 0:
-            return None
-        check = verify_witness(w_op, target)
-        if not check.certified:
-            return None
-        return finish(INFEASIBLE_NUMERICAL, iterations, "witness", w_op, check.margin)
+    def witness(y):
+        tries = [-y]
+        if geo.ker is not None:
+            # doubling c from ||y||: large enough to push lambda_min onto
+            # range P, small enough to keep the rounding bound below the margin
+            c = linalg.hs_norm(y)
+            tries += [-y + c * 2.0**j * geo.ker for j in range(30)]
+        for w_op in tries:
+            check = verify_witness(w_op, target)
+            if check.certified:
+                return w_op, check.margin
+        return None
 
-    if best[0] <= problem.tol:
-        return finish(FEASIBLE, 0, "tol")
-    done = witness_exit(0)
-    if done is not None:
-        return done
+    x = np.kron(rho, geo.eye_b / d_b)
+    if max(geo.residual_triple(x)) <= tol:
+        return finish(x, FEASIBLE, 0, "tol")
 
+    y = trial = np.zeros_like(rho, dtype=complex)
+    value, t, slope = np.inf, 1.0, 0.0
+    memory = deque(maxlen=LBFGS_MEMORY)
     for k in range(1, problem.max_iter + 1):
-        if k <= STAGE1_ITERS:
-            # Dykstra: C1 with correction p, then C2 and C3 without
-            s = x + p
-            y = geo.psd_project(s)
-            p = s - y
-            x = z = geo.affine_project(geo.support_apply(y))
+        trial_value, trial_grad, x, free_margin = geo.dual(trial)
+        if k % problem.log_every == 0:
+            history.append((k,) + geo.residual_triple(x))
+        if linalg.hs_norm(trial_grad) <= tol and max(geo.residual_triple(x)) <= tol:
+            return finish(x, FEASIBLE, k, "tol")
+        if free_margin < 0:
+            found = witness(trial)
+            if found is not None:
+                return finish(x, INFEASIBLE_NUMERICAL, k, "witness", *found)
+        if trial_value > value + 1e-4 * t * slope:
+            t /= 2  # Armijo sufficient decrease failed: backtrack
         else:
-            # Douglas-Rachford: x is the cone point, z the governing sequence
-            xb = geo.affine_project(z)
-            x = geo.psd_project(2 * xb - z)
-            z = z + x - xb
-
-        if k % problem.log_every == 0 or k == problem.max_iter:
-            cand = x if k <= STAGE1_ITERS else geo.affine_project(x)
-            triple = geo.residual_triple(cand)
-            history.append((k,) + triple)
-            if max(triple) < best[0]:
-                best = (max(triple), cand, triple)
-            if best[0] <= problem.tol:
-                return finish(FEASIBLE, k, "tol")
-            done = witness_exit(k)
-            if done is not None:
-                return done
-            if _stalled(history, k, best[0], problem.tol):
-                return finish(INFEASIBLE_NUMERICAL, k, "plateau")
-
-    return finish(INCONCLUSIVE, problem.max_iter, "budget")
+            if k > 1:
+                s, g_diff = trial - y, trial_grad - grad
+                curvature = linalg.hs_inner(s, g_diff).real
+                if curvature > 0:
+                    memory.append((s, g_diff, 1.0 / curvature))
+            y, value, grad = trial, trial_value, trial_grad
+            direction = _lbfgs_direction(grad, memory)
+            t, slope = 1.0, linalg.hs_inner(grad, direction).real
+        trial = y + t * direction
+    return finish(x, INCONCLUSIVE, problem.max_iter, "budget")
 
 
 def verify_certificate(x, target: DensityMatrix) -> CertificateResiduals:
@@ -542,21 +494,6 @@ class SweepResult:
     boundary: float = None
 
 
-def _sweep_point(args):
-    d, f, tol, max_iter = args
-    cert = solve_extension(
-        ExtensionProblem(target=isotropic(d, f), tol=tol, max_iter=max_iter)
-    )
-    return SweepRow(
-        fidelity=f,
-        verdict=cert.verdict,
-        psd_residual=cert.psd_residual,
-        swap_residual=cert.swap_residual,
-        pt_residual=cert.pt_residual,
-        iterations=cert.iterations,
-    )
-
-
 def run_isotropic_sweep(
     d: int,
     f_min: float,
@@ -564,7 +501,6 @@ def run_isotropic_sweep(
     steps: int,
     tol: float = 1e-7,
     max_iter: int = 20000,
-    parallel: bool = False,
 ) -> SweepResult:
     """Grid the isotropic family and estimate the extendibility boundary.
 
@@ -577,15 +513,12 @@ def run_isotropic_sweep(
     if not 0.0 <= f_min <= f_max <= 1.0:
         raise ValueError(f"bad fidelity range [{f_min}, {f_max}]")
     grid = [f_min] if steps == 1 else list(np.linspace(f_min, f_max, steps))
-    jobs = [(int(d), float(f), tol, max_iter) for f in grid]
-    if parallel:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(j) for j in jobs]
-    rows.sort(key=lambda r: r.fidelity)
+    rows = []
+    for f in grid:
+        problem = ExtensionProblem(isotropic(int(d), float(f)), tol=tol, max_iter=max_iter)
+        cert = solve_extension(problem)
+        rows.append(SweepRow(float(f), cert.verdict, cert.psd_residual, cert.swap_residual,
+                             cert.pt_residual, cert.iterations))
 
     boundary = None
     if steps > 1:

@@ -112,7 +112,7 @@ def test_cmd_test_witness_report(tmp_path, capsys):
     assert payload["verdict"] == "InfeasibleNumerical"
     assert payload["stop_reason"] == "witness"
     assert payload["witness_margin"] < 0
-    assert payload["iterations"] == 0
+    assert payload["iterations"] <= 2
     assert "extension" not in payload
 
 
@@ -138,7 +138,23 @@ def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypa
     def broken(problem):
         raise RuntimeError("solver fault")
 
+    # non-positive numeric options are input errors, not library faults
     write_json(infile, state_to_payload(isotropic(2, 0.7)))
+    out_csv = str(tmp_path / "sweep.csv")
+    sweep = ["sweep-isotropic", out_csv, "--d", "2", "--f-min", "0.7",
+             "--f-max", "0.8", "--steps", "3"]
+    for argv, option in [
+        (["test", str(infile), "--max-iter", "0"], "--max-iter"),
+        (["test", str(infile), "--tol", "-1"], "--tol"),
+        (sweep + ["--max-iter", "0"], "--max-iter"),
+        (["param", str(infile), "--fw-max-iter", "0", "--json"], "--fw-max-iter"),
+        (["param", str(infile), "--gap-tol", "-1"], "--gap-tol"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:") and option in captured.err
+        assert "Infinity" not in captured.out
+
     monkeypatch.setattr(cli, "solve_extension", broken)
     assert main(["test", str(infile)]) == 2
     err = capsys.readouterr().err

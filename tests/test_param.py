@@ -182,7 +182,7 @@ def test_standalone_probe_exits_by_witness(monkeypatch):
     distance_to_extendible(isotropic(2, 0.9), max_iter=10)
     assert len(certs) == 1
     assert certs[0].stop_reason == "witness"
-    assert certs[0].iterations == 0
+    assert certs[0].iterations <= 2
 
 
 def test_fw_stop_reason():
