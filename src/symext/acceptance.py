@@ -162,9 +162,7 @@ def _battery_separable(seed):
     n_ok = 0
     for i in range(100):
         dims = (2, 2) if i % 2 == 0 else (3, 3)
-        cert = solve_extension(
-            ExtensionProblem(target=random_separable(rng, dims), max_iter=40000)
-        )
+        cert = solve_extension(ExtensionProblem(target=random_separable(rng, dims)))
         n_ok += cert.verdict == FEASIBLE
     return f"{n_ok}/100 Feasible", n_ok == 100
 
@@ -191,7 +189,7 @@ def _battery_closure(seed):
         dims = (2, 2) if i % 2 == 0 else (3, 3)
         state = random_separable(rng, dims)
         ch = random_cptp(rng, dims[1], dims[1], int(rng.integers(1, dims[1] + 2)))
-        record = bob_side_map_preserves(state, ch, max_iter=40000)
+        record = bob_side_map_preserves(state, ch)
         kept += record.preserved
     return f"{kept}/20 preserved", kept == 20
 

@@ -41,7 +41,8 @@ class InputError(Exception):
 
 
 def encode_matrix(m) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def decode_matrix(payload, field: str) -> np.ndarray:
@@ -136,8 +137,7 @@ def _require_positive(args, *names) -> None:
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def cmd_choi(args) -> int:
@@ -200,12 +200,11 @@ def cmd_test(args) -> int:
 
 def cmd_sweep_isotropic(args) -> int:
     _require_positive(args, "tol", "max_iter")
-    if not 2 <= args.d <= 4:
-        raise InputError(f"sweep supports dimensions 2..4, got {args.d}")
-    if not (0.0 <= args.f_min <= args.f_max <= 1.0) or args.steps < 1:
+    if args.d < 2 or not (0.0 <= args.f_min <= args.f_max <= 1.0) or args.steps < 1:
         raise InputError(
-            f"bad sweep range: f in [{args.f_min}, {args.f_max}], steps={args.steps}"
+            f"bad sweep range: d={args.d}, f in [{args.f_min}, {args.f_max}], steps={args.steps}"
         )
+    _require_solvable((args.d, args.d))
     result = run_isotropic_sweep(
         args.d,
         args.f_min,
@@ -304,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="test a state or channel for symmetric extendibility")
     p.add_argument("input_file")
     p.add_argument("out_report", nargs="?", default=None)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=20000)
+    p.add_argument("--tol", type=float, default=ExtensionProblem.tol)
+    p.add_argument("--max-iter", type=int, default=ExtensionProblem.max_iter)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("sweep-isotropic", help="grid the isotropic family")
@@ -314,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-min", type=float, required=True)
     p.add_argument("--f-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=20000)
+    p.add_argument("--tol", type=float, default=ExtensionProblem.tol)
+    p.add_argument("--max-iter", type=int, default=ExtensionProblem.max_iter)
     p.set_defaults(func=cmd_sweep_isotropic)
 
     p = sub.add_parser("param", help="bounds on one-way distillable entanglement")
     p.add_argument("state_file")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=20000)
+    p.add_argument("--tol", type=float, default=ExtensionProblem.tol)
+    p.add_argument("--max-iter", type=int, default=ExtensionProblem.max_iter)
     p.add_argument("--fw-max-iter", type=int, default=2000)
     p.add_argument("--gap-tol", type=float, default=1e-5)
     p.add_argument("--json", action="store_true")

@@ -86,15 +86,14 @@ class ExtensionProblem:
     target: DensityMatrix
     tol: float = 1e-7
     max_iter: int = 20000
-    log_every: int = 25
 
     def __post_init__(self):
         if len(self.target.dims) != 2:
             raise ValueError(f"target must be bipartite, got dims {self.target.dims}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1 or self.log_every < 1:
-            raise ValueError("max_iter and log_every must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
 
 
 @dataclass(eq=False)
@@ -107,8 +106,10 @@ class ExtensionCertificate:
     (InfeasibleNumerical, proved by a dual witness) or "budget"
     (Inconclusive). On a witness exit, witness holds W and witness_margin
     its margin as recomputed by ``verify_witness``; both are None otherwise.
-    iterations counts dual evaluations. history holds (evaluation, psd,
-    swap, pt) samples of the dual's candidate at the logging cadence.
+    iterations counts dual evaluations. history records each accepted
+    L-BFGS step as (evaluation, theta, gradient norm): theta strictly
+    decreases along it, and the gradient norm is the marginal residual of
+    that step's candidate.
     """
 
     candidate: np.ndarray
@@ -283,8 +284,8 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     rho, tol = geo.rho, problem.tol
     history = []
 
-    def finish(x, verdict, iterations, stop_reason, witness=None, margin=None):
-        psd, swap, pt = geo.residual_triple(x)
+    def finish(x, verdict, iterations, stop_reason, witness=None, margin=None, residuals=None):
+        psd, swap, pt = geo.residual_triple(x) if residuals is None else residuals
         return ExtensionCertificate(
             x, psd, swap, pt, iterations, verdict, stop_reason, history, witness, margin
         )
@@ -303,18 +304,17 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
         return None
 
     x = np.kron(rho, geo.eye_b / d_b)
-    if max(geo.residual_triple(x)) <= tol:
-        return finish(x, FEASIBLE, 0, "tol")
+    if max(residuals := geo.residual_triple(x)) <= tol:
+        return finish(x, FEASIBLE, 0, "tol", residuals=residuals)
 
     y = trial = np.zeros_like(rho, dtype=complex)
     value, t, slope = np.inf, 1.0, 0.0
     memory = deque(maxlen=LBFGS_MEMORY)
     for k in range(1, problem.max_iter + 1):
         trial_value, trial_grad, x, free_margin = geo.dual(trial)
-        if k % problem.log_every == 0:
-            history.append((k,) + geo.residual_triple(x))
-        if linalg.hs_norm(trial_grad) <= tol and max(geo.residual_triple(x)) <= tol:
-            return finish(x, FEASIBLE, k, "tol")
+        grad_norm = linalg.hs_norm(trial_grad)
+        if grad_norm <= tol and max(residuals := geo.residual_triple(x)) <= tol:
+            return finish(x, FEASIBLE, k, "tol", residuals=residuals)
         if free_margin < 0:
             found = witness(trial)
             if found is not None:
@@ -328,6 +328,7 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
                 if curvature > 0:
                     memory.append((s, g_diff, 1.0 / curvature))
             y, value, grad = trial, trial_value, trial_grad
+            history.append((k, value, grad_norm))
             direction = _lbfgs_direction(grad, memory)
             t, slope = 1.0, linalg.hs_inner(grad, direction).real
         trial = y + t * direction
@@ -412,7 +413,9 @@ class ChannelTestResult:
     message: str
 
 
-def test_channel(ch: KrausChannel, tol: float = 1e-7, max_iter: int = 20000) -> ChannelTestResult:
+def test_channel(
+    ch: KrausChannel, tol: float = ExtensionProblem.tol, max_iter: int = ExtensionProblem.max_iter
+) -> ChannelTestResult:
     """Decide whether a channel provably has zero one-way quantum capacity.
 
     A symmetric extension of the channel's Choi state certifies zero
@@ -432,24 +435,21 @@ def test_channel(ch: KrausChannel, tol: float = 1e-7, max_iter: int = 20000) -> 
     )
 
 
-def max_extendible_fidelity(
-    d: int, tol: float = 5e-3, solver_tol: float = 1e-7, max_iter: int = 20000
-) -> float:
+def max_extendible_fidelity(d: int, tol: float = 5e-3) -> float:
     """Bisect the extendibility boundary of the isotropic family.
 
     Twirling preserves both fidelity and extendibility, so the isotropic
     family is extremal and this boundary answers the maximal-fidelity
-    question for zero-capacity states. Converges to (d+1)/(2d).
+    question for zero-capacity states. Converges to (d+1)/(2d). The
+    extension side d**3 must not exceed MAX_SIDE, so d <= 10.
     """
     d = int(d)
-    if not 2 <= d <= 5:
-        raise ValueError(f"dimension must be in [2, 5], got {d}")
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
     lo, hi = 1.0 / d, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        cert = solve_extension(
-            ExtensionProblem(target=isotropic(d, mid), tol=solver_tol, max_iter=max_iter)
-        )
+        cert = solve_extension(ExtensionProblem(target=isotropic(d, mid)))
         if cert.verdict == FEASIBLE:
             lo = mid
         else:
@@ -464,13 +464,11 @@ class MapClosureRecord:
     preserved: bool
 
 
-def bob_side_map_preserves(
-    rho: DensityMatrix, ch: KrausChannel, tol: float = 1e-7, max_iter: int = 20000
-) -> MapClosureRecord:
+def bob_side_map_preserves(rho: DensityMatrix, ch: KrausChannel) -> MapClosureRecord:
     """Check that a trace-preserving map on B keeps a state extendible."""
-    before = solve_extension(ExtensionProblem(target=rho, tol=tol, max_iter=max_iter))
+    before = solve_extension(ExtensionProblem(target=rho))
     mapped = apply_channel(ch, rho, which=1)
-    after = solve_extension(ExtensionProblem(target=mapped, tol=tol, max_iter=max_iter))
+    after = solve_extension(ExtensionProblem(target=mapped))
     preserved = not (before.verdict == FEASIBLE and after.verdict != FEASIBLE)
     return MapClosureRecord(
         verdict_before=before.verdict, verdict_after=after.verdict, preserved=preserved
@@ -499,8 +497,8 @@ def run_isotropic_sweep(
     f_min: float,
     f_max: float,
     steps: int,
-    tol: float = 1e-7,
-    max_iter: int = 20000,
+    tol: float = ExtensionProblem.tol,
+    max_iter: int = ExtensionProblem.max_iter,
 ) -> SweepResult:
     """Grid the isotropic family and estimate the extendibility boundary.
 

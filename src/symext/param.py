@@ -117,7 +117,7 @@ def distance_to_extendible(
     sigma = np.eye(n, dtype=complex) / n
     floor = SIGMA_FLOOR * np.eye(n) / n
     if extendible is None:
-        probe = solve_extension(ExtensionProblem(target=embedded, max_iter=6000))
+        probe = solve_extension(ExtensionProblem(target=embedded))
         extendible = probe.verdict == FEASIBLE
     if extendible:
         sigma = (rho_t + floor) / (1.0 + SIGMA_FLOOR)
@@ -180,8 +180,8 @@ class BoundReport:
 
 def bound_report(
     rho: DensityMatrix,
-    tol: float = 1e-7,
-    max_iter: int = 20000,
+    tol: float = ExtensionProblem.tol,
+    max_iter: int = ExtensionProblem.max_iter,
     fw_max_iter: int = 2000,
     gap_tol: float = 1e-5,
 ) -> BoundReport:

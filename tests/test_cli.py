@@ -32,6 +32,10 @@ def test_payload_round_trip_is_bit_identical():
     assert back.dims == state.dims
     # serialize again: identical numeric payload
     assert json.dumps(state_to_payload(back, {"name": "family", "F": 0.37})) == text
+    # the vectorized encoder writes what an elementwise one writes, ints as floats
+    for m in (state.matrix, np.eye(2, dtype=int)):
+        reference = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+        assert json.dumps(encode_matrix(m)) == json.dumps(reference)
 
 
 def test_state_payload_diagnostics_name_field_and_residual():
@@ -215,12 +219,23 @@ def test_cmd_sweep_single_step(tmp_path):
     assert not any(l.startswith("#") for l in lines)
 
 
-def test_cmd_sweep_bad_range(tmp_path):
-    out = tmp_path / "sweep.csv"
+def test_cmd_sweep_d5(tmp_path):
+    out = tmp_path / "d5.csv"
     assert main([
         "sweep-isotropic", str(out),
-        "--d", "7", "--f-min", "0.7", "--f-max", "0.8", "--steps", "5",
-    ]) == 2
+        "--d", "5", "--f-min", "0.55", "--f-max", "0.55", "--steps", "1",
+    ]) == 0
+    assert out.read_text().splitlines()[1].split(",")[1] == "Feasible"
+
+
+def test_cmd_sweep_bad_range(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    for d in ("11", "1"):  # side 11**3 = 1331 exceeds MAX_SIDE; d = 1 is no state
+        assert main([
+            "sweep-isotropic", str(out),
+            "--d", d, "--f-min", "0.7", "--f-max", "0.8", "--steps", "5",
+        ]) == 2
+        assert "input error" in capsys.readouterr().err
 
 
 def test_cmd_param_json(tmp_path, capsys):

@@ -227,15 +227,17 @@ def test_channel_verdicts():
     assert result.certificate.verdict == INFEASIBLE_NUMERICAL
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_max_extendible_fidelity(d):
     est = max_extendible_fidelity(d)
     assert abs(est - (d + 1) / (2 * d)) <= 5e-3
 
 
 def test_max_extendible_fidelity_range_check():
-    with pytest.raises(ValueError):
-        max_extendible_fidelity(6)
+    with pytest.raises(ValueError, match="side"):
+        max_extendible_fidelity(11)  # side 11**3 = 1331 exceeds MAX_SIDE
+    with pytest.raises(ValueError, match="at least 2"):
+        max_extendible_fidelity(1)
 
 
 def test_bob_side_map_closure():
@@ -264,14 +266,13 @@ def test_filtered_state_stays_extendible():
 
 
 def test_residual_history_monotone():
+    # Armijo steps along an L-BFGS descent direction strictly decrease theta
     cert = solve(isotropic(3, 0.645))
-    combined = [max(h[1:]) for h in cert.history]
-    iters = [h[0] for h in cert.history]
-    for (k_prev, r_prev), (k_next, r_next) in zip(
-        zip(iters, combined), zip(iters[1:], combined[1:])
-    ):
-        if k_prev >= 100:
-            assert r_next <= r_prev * 1.05
+    assert cert.verdict == FEASIBLE and cert.history
+    evals = [h[0] for h in cert.history]
+    thetas = [h[1] for h in cert.history]
+    assert evals == sorted(set(evals)) and evals[-1] <= cert.iterations
+    assert all(b < a for a, b in zip(thetas, thetas[1:]))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
