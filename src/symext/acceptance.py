@@ -135,10 +135,10 @@ def _headline_zero_capacity():
 
 def _normalization_anchor(d, tol):
     state = DensityMatrix(max_entangled_projector(d), (d, d))
-    result = distance_to_extendible(state, max_iter=4000, gap_tol=1e-5)
+    result = distance_to_extendible(state)
     err = abs(result.value - math.log2(d))
-    ok = err <= tol and result.fw_gap <= 1e-3
-    return f"value={result.value:.6f} gap={result.fw_gap:.2e}", ok
+    ok = err <= tol and result.fw_gap <= 1e-3 and result.stop_reason == "gap"
+    return f"value={result.value:.6f} gap={result.fw_gap:.2e} stop={result.stop_reason}", ok
 
 
 def _witnessed(cert, target) -> bool:
@@ -226,8 +226,8 @@ def _two_copy(kind):
         state = DensityMatrix(max_entangled_projector(2), (2, 2))
     else:
         state = isotropic(2, 0.9)
-    two = two_copy_estimate(state, max_iter=3000)
-    single = distance_to_extendible(state, max_iter=3000).value
+    two = two_copy_estimate(state)
+    single = distance_to_extendible(state).value
     if kind == "maxent":
         ok = two <= single + 2e-3 and abs(two - 1.0) <= 2e-3
         return f"two={two:.6f} single={single:.6f}", ok
@@ -254,9 +254,9 @@ def _registry(seed):
          lambda: _boundary_extension_oracle(4)),
         ("headline-zero-capacity", "Feasible, neg>0.05, hashing<=0", "exact",
          _headline_zero_capacity),
-        ("normalization-anchor-d2", "1.000000, gap<=1e-3", "1e-3",
+        ("normalization-anchor-d2", "1.000000, gap<=1e-3, stop=gap", "1e-3",
          lambda: _normalization_anchor(2, 1e-3)),
-        ("normalization-anchor-d3", f"{math.log2(3):.6f}, gap<=1e-3", "2e-3",
+        ("normalization-anchor-d3", f"{math.log2(3):.6f}, gap<=1e-3, stop=gap", "2e-3",
          lambda: _normalization_anchor(3, 2e-3)),
         ("depolarizing-flip", "Feasible@0.35 / witnessed InfeasibleNumerical@0.31",
          "exact",

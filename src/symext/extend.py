@@ -90,9 +90,9 @@ class ExtensionProblem:
     def __post_init__(self):
         if len(self.target.dims) != 2:
             raise ValueError(f"target must be bipartite, got dims {self.target.dims}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be positive")
 
 

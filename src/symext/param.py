@@ -1,20 +1,23 @@
 """Normalized relative-entropy distance to the symmetrically extendible set.
 
-The distance is estimated by conditional-gradient (Frank-Wolfe) descent of
-sigma -> R(rho || sigma) over the extendible set. The linear subproblem has
-a closed form: lift the gradient with an identity on the extending factor,
-symmetrize under the swap, and take the reduction of the symmetrized
-minimum-eigenvector projector. Every iterate is extendible by construction
-and the duality gap bounds the distance to the true infimum.
+A square factor V of the extension, X(V) = swap_avg(V V^dag) / ||V||_F^2,
+parametrizes the extendible set Tr_B' X(V) without constraints (Burer and
+Monteiro, Math. Program. 95, 2003), and the extension solver's L-BFGS
+minimizes R(rho || Tr_B' X(V)) over it. Frank-Wolfe duality certifies the
+answer: the linear subproblem over the extendible set has a closed form
+(the reduction of the swap-symmetrized minimum-eigenvector projector of
+the lifted gradient), and its gap bounds the distance to the infimum.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .extend import FEASIBLE, ExtensionProblem, _Geometry, solve_extension
+from .extend import FEASIBLE, LBFGS_MEMORY, ExtensionProblem, _Geometry
+from .extend import _lbfgs_direction, solve_extension
 from .quantum import (
     DensityMatrix,
     coherent_information,
@@ -51,8 +54,9 @@ class ParamResult:
     """Distance estimate: value = scale * R(embedded target || nearest).
 
     fw_gap is the certified width: the true infimum lies in
-    [value - scale * fw_gap, value]. stop_reason is "gap" when Frank-Wolfe
-    stopped on gap_tol and "budget" when the iteration budget ran out.
+    [value - scale * fw_gap, value]. stop_reason is "gap" when the
+    Frank-Wolfe gap closed to gap_tol and "budget" when max_iter evaluations
+    ran out; iterations counts evaluations of the objective.
     """
 
     value: float
@@ -88,24 +92,29 @@ def distance_to_extendible(
     rho: DensityMatrix, max_iter: int = 2000, gap_tol: float = 1e-5,
     extendible: bool | None = None,
 ) -> ParamResult:
-    """Frank-Wolfe upper estimate of the normalized distance to extendibility.
+    """Certified upper estimate of the normalized distance to extendibility.
 
-    The state is zero-padded to d x d first. Iterates step along closed-form
-    extreme points with the fixed step 2/(k+2) and stay full rank through a
-    tiny mixing floor. Every iterate is extendible, and by convexity each
-    step's linearization gives a lower bound on the infimum; the best one
+    The state is zero-padded to d x d first. L-BFGS with Armijo backtracking
+    minimizes f(V) = R(rho || sigma(V)), sigma(V) = Tr_B' X(V) under a tiny
+    mixing floor; its gradient is (2/t)(L - <L, X> I) V, with t = ||V||_F^2
+    and L the lift of the gradient G in sigma. Every sigma(V) is
+    extendible, so at each accepted point the closed-form LMO s gives the
+    lower bound value - <G, sigma - s> on the infimum, and the best one
     seen certifies the result. Stops when the value is within gap_tol of
-    that bound or the iteration budget runs out.
+    that bound or after max_iter evaluations, line-search trials included.
 
     extendible says whether rho has a symmetric extension, if the caller
     has already decided it (zero-padding keeps that verdict); None runs an
     extension solve here, which a dual witness usually ends at once on a
     state that is not extendible. An extendible state is its own optimum
-    (distance exactly zero), so the descent starts there and terminates
-    immediately. Otherwise iterates start at the maximally mixed state.
+    (distance exactly zero), so sigma = rho is checked first; its gap check
+    normally ends the solve. Otherwise, or if it does not, the descent
+    starts at V = I/sqrt(side), where sigma is maximally mixed.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"state must be bipartite, got dims {rho.dims}")
+    if not (max_iter >= 1 and gap_tol > 0):
+        raise ValueError(f"max_iter and gap_tol must be positive, got {max_iter}, {gap_tol}")
     embedded = embed_square(rho)
     d = embedded.dims[0]
     scale = normalization_factor(d)
@@ -113,40 +122,60 @@ def distance_to_extendible(
     c_rho = -von_neumann_entropy(embedded)
 
     geo = _Geometry((d, d))
-    n = d * d
-    sigma = np.eye(n, dtype=complex) / n
-    floor = SIGMA_FLOOR * np.eye(n) / n
+    floor = SIGMA_FLOOR * np.eye(d * d) / (d * d)
     if extendible is None:
-        probe = solve_extension(ExtensionProblem(target=embedded))
-        extendible = probe.verdict == FEASIBLE
-    if extendible:
-        sigma = (rho_t + floor) / (1.0 + SIGMA_FLOOR)
+        extendible = solve_extension(ExtensionProblem(target=embedded)).verdict == FEASIBLE
 
-    value, grad = _grad_and_value(rho_t, sigma, c_rho)
-    lower = -math.inf
-    iterations = 0
-    stop_reason = "budget"
-    for k in range(1, max_iter + 1):
-        iterations = k
-        _, s = geo.lmo(grad)
-        lower = max(lower, value - float(np.real(linalg.hs_inner(grad, sigma - s))))
-        if value - lower <= gap_tol:
+    def evaluate(v):
+        t = linalg.hs_norm(v) ** 2
+        x = geo.swap_avg(v @ v.conj().T) / t
+        sig = (geo.ptrace_last(x) + floor) / (1.0 + SIGMA_FLOOR)
+        sig = (sig + sig.conj().T) / 2
+        val, g = _grad_and_value(rho_t, sig, c_rho)
+        lifted = geo.lift(g)
+        return val, (2.0 / t) * (lifted @ v - linalg.hs_inner(lifted, x).real * v), sig, g
+
+    def gap_closed(val, g, sig):
+        nonlocal lower
+        _, s = geo.lmo(g)
+        lower = max(lower, val - float(np.real(linalg.hs_inner(g, sig - s))))
+        return val - lower <= gap_tol
+
+    lower, iterations, stop_reason = -math.inf, 0, "budget"
+    if extendible:
+        sigma, iterations = (rho_t + floor) / (1.0 + SIGMA_FLOOR), 1
+        if gap_closed(*_grad_and_value(rho_t, sigma, c_rho), sigma):
             stop_reason = "gap"
-            break
-        sigma = sigma + 2.0 / (k + 2) * (s - sigma)
-        sigma = (sigma + floor) / (1.0 + SIGMA_FLOOR)
-        sigma = (sigma + sigma.conj().T) / 2
-        value, grad = _grad_and_value(rho_t, sigma, c_rho)
+    v = trial = np.eye(geo.side, dtype=complex) / math.sqrt(geo.side)
+    value, t, slope = math.inf, 1.0, 0.0
+    memory = deque(maxlen=LBFGS_MEMORY)
+    while stop_reason == "budget" and iterations < max_iter:
+        iterations += 1
+        trial_value, trial_grad, trial_sigma, g = evaluate(trial)
+        if trial_value > value + 1e-4 * t * slope:
+            t /= 2  # Armijo sufficient decrease failed: backtrack
+        else:
+            if value < math.inf:
+                s_v, g_diff = trial - v, trial_grad - grad
+                curvature = linalg.hs_inner(s_v, g_diff).real
+                if curvature > 0:
+                    memory.append((s_v, g_diff, 1.0 / curvature))
+            v, value, grad, sigma = trial, trial_value, trial_grad, trial_sigma
+            if gap_closed(value, g, sigma):
+                stop_reason = "gap"
+                break
+            direction = _lbfgs_direction(grad, memory)
+            t, slope = 1.0, linalg.hs_inner(grad, direction).real
+            if slope >= 0:  # not a descent direction: restart along -grad
+                memory.clear()
+                direction, slope = -grad, -linalg.hs_norm(grad) ** 2
+        trial = v + t * direction
 
     nearest = DensityMatrix(sigma, (d, d))
     final_value = relative_entropy(embedded, nearest)
     return ParamResult(
-        value=scale * final_value,
-        nearest=nearest,
-        fw_gap=max(final_value - lower, 0.0),
-        iterations=iterations,
-        scale=scale,
-        stop_reason=stop_reason,
+        value=scale * final_value, nearest=nearest, fw_gap=max(final_value - lower, 0.0),
+        iterations=iterations, scale=scale, stop_reason=stop_reason,
     )
 
 

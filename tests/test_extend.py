@@ -43,8 +43,12 @@ def test_problem_validation():
     tripartite = random_density(rng, (2, 2, 2))
     with pytest.raises(ValueError, match="bipartite"):
         ExtensionProblem(target=tripartite)
-    with pytest.raises(ValueError, match="tol"):
-        ExtensionProblem(target=random_density(rng, (2, 2)), tol=0.0)
+    target = random_density(rng, (2, 2))
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            ExtensionProblem(target=target, tol=bad)
+        with pytest.raises(ValueError, match="max_iter"):
+            ExtensionProblem(target=target, max_iter=bad)
     big = random_density(rng, (9, 12))
     with pytest.raises(ValueError, match="side"):
         solve(big)

@@ -18,7 +18,12 @@ from symext.quantum import (
     max_entangled_projector,
     relative_entropy,
 )
-from symext.sampling import random_density, random_separable, random_unitary
+from symext.sampling import (
+    random_density,
+    random_entangled_pure,
+    random_separable,
+    random_unitary,
+)
 
 
 def maxent(d):
@@ -100,6 +105,30 @@ def test_non_bipartite_rejected():
     rng = np.random.default_rng(52)
     with pytest.raises(ValueError, match="bipartite"):
         distance_to_extendible(random_density(rng, (2, 2, 2)))
+
+
+@pytest.mark.parametrize("bad", [0.0, float("nan")])
+def test_budget_and_gap_tol_validated(bad):
+    with pytest.raises(ValueError, match="max_iter"):
+        distance_to_extendible(isotropic(2, 0.8), max_iter=bad)
+    with pytest.raises(ValueError, match="gap_tol"):
+        distance_to_extendible(isotropic(2, 0.8), gap_tol=bad)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
+def test_non_square_distance_local_unitary_invariance(dims):
+    # embed_square pads to d x d; the certified interval must not depend
+    # on the local basis of the unpadded state
+    rng = np.random.default_rng(55)
+    for _ in range(3):
+        rho = random_entangled_pure(rng, dims)
+        op = np.kron(random_unitary(rng, dims[0]), random_unitary(rng, dims[1]))
+        rotated = DensityMatrix(op @ rho.matrix @ op.conj().T, dims)
+        a = distance_to_extendible(rho)
+        b = distance_to_extendible(rotated)
+        assert a.stop_reason == b.stop_reason == "gap"
+        width_a, width_b = a.scale * a.fw_gap, b.scale * b.fw_gap
+        assert abs(a.value - b.value) <= width_a + width_b + 1e-9
 
 
 def test_hashing_lower_bound_cases():
@@ -187,9 +216,26 @@ def test_standalone_probe_exits_by_witness(monkeypatch):
 
 def test_fw_stop_reason():
     assert distance_to_extendible(example_state(0.45)).stop_reason == "gap"
-    result = distance_to_extendible(isotropic(2, 0.8), max_iter=20)
+    result = distance_to_extendible(isotropic(2, 0.8), max_iter=2)
     assert result.stop_reason == "budget"
     assert result.fw_gap > 1e-5
+
+
+def test_default_budget_stops_on_gap(monkeypatch):
+    # the single-copy anchors, isotropic(2, 0.9) and the two-copy 4x4 pair
+    # all close their gap_tol = 1e-5 gap inside the default budget
+    results = []
+
+    def recording_distance(*args, **kwargs):
+        results.append(distance_to_extendible(*args, **kwargs))
+        return results[-1]
+
+    for state in (maxent(2), maxent(3), isotropic(2, 0.9)):
+        assert distance_to_extendible(state).stop_reason == "gap"
+    monkeypatch.setattr(param, "distance_to_extendible", recording_distance)
+    two_copy_estimate(isotropic(2, 0.9))
+    assert [r.stop_reason for r in results] == ["gap"]
+    assert results[0].nearest.dims == (4, 4)
 
 
 def test_two_copy_maxent_additive():
