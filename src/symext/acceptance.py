@@ -226,14 +226,16 @@ def _two_copy(kind):
         state = DensityMatrix(max_entangled_projector(2), (2, 2))
     else:
         state = isotropic(2, 0.9)
-    two = two_copy_estimate(state)
-    single = distance_to_extendible(state).value
+    pair, single = two_copy_estimate(state), distance_to_extendible(state)
+    two, one = pair.value / 2, single.value
+    stops = f"stop={pair.stop_reason}/{single.stop_reason}"
+    gaps = pair.stop_reason == single.stop_reason == "gap"
     if kind == "maxent":
-        ok = two <= single + 2e-3 and abs(two - 1.0) <= 2e-3
-        return f"two={two:.6f} single={single:.6f}", ok
-    bound = normalization_factor(4) / normalization_factor(2) * single
-    ok = two <= bound + 2e-3
-    return f"two={two:.6f} single={single:.6f} bound={bound:.6f}", ok
+        ok = gaps and two <= one + 2e-3 and abs(two - 1.0) <= 2e-3
+        return f"two={two:.6f} single={one:.6f} {stops}", ok
+    bound = normalization_factor(4) / normalization_factor(2) * one
+    ok = gaps and two <= bound + 2e-3
+    return f"two={two:.6f} single={one:.6f} bound={bound:.6f} {stops}", ok
 
 
 def _registry(seed):

@@ -17,9 +17,9 @@ unconstrained convex function of a Hermitian y on A (x) B
 
   theta(y) = 1/2 ||X(y)||^2 - Re<rho, y>,   X(y) = Pi_+(P lift(y) P),
 
-with gradient Tr_B' X(y) - rho; Pi_+ clamps negative eigenvalues. A
-two-loop L-BFGS with Armijo backtracking minimizes it. Each evaluation
-costs one eigh of P lift(y) P, which gives both exits:
+with gradient Tr_B' X(y) - rho; Pi_+ clamps negative eigenvalues. The
+L-BFGS driver ``_lbfgs``, shared with ``param``, minimizes it. Each
+evaluation costs one eigh of P lift(y) P, which gives both exits:
 
   * Feasible: X(y) is PSD and swap-invariant by construction, so once the
     gradient norm (the marginal residual) is at most tol, X(y) is an
@@ -92,8 +92,8 @@ class ExtensionProblem:
             raise ValueError(f"target must be bipartite, got dims {self.target.dims}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be positive")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError("max_iter must be a positive integer")
 
 
 @dataclass(eq=False)
@@ -261,6 +261,35 @@ def _lbfgs_direction(grad, memory):
     return -q
 
 
+def _lbfgs(evaluate, x0, max_iter):
+    """L-BFGS with Armijo backtracking from x0; evaluate(x) returns
+    (value, grad, *extra). Yields (k, point, accepted, value, grad, extra)
+    for each evaluation k <= max_iter, line-search trials included, until
+    the caller breaks out. A non-descent direction restarts along -grad."""
+    x = trial = x0
+    value, t, slope = np.inf, 1.0, 0.0
+    memory = deque(maxlen=LBFGS_MEMORY)
+    for k in range(1, max_iter + 1):
+        trial_value, trial_grad, *extra = evaluate(trial)
+        accepted = not trial_value > value + 1e-4 * t * slope
+        yield k, trial, accepted, trial_value, trial_grad, extra
+        if not accepted:
+            t /= 2  # Armijo sufficient decrease failed: backtrack
+        else:
+            if k > 1:
+                s, g_diff = trial - x, trial_grad - grad
+                curvature = linalg.hs_inner(s, g_diff).real
+                if curvature > 0:
+                    memory.append((s, g_diff, 1.0 / curvature))
+            x, value, grad = trial, trial_value, trial_grad
+            direction = _lbfgs_direction(grad, memory)
+            t, slope = 1.0, linalg.hs_inner(grad, direction).real
+            if slope >= 0:  # not a descent direction: restart along -grad
+                memory.clear()
+                direction, slope = -grad, -linalg.hs_norm(grad) ** 2
+        trial = x + t * direction
+
+
 def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     """Search for a symmetric extension of the target state.
 
@@ -307,31 +336,17 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     if max(residuals := geo.residual_triple(x)) <= tol:
         return finish(x, FEASIBLE, 0, "tol", residuals=residuals)
 
-    y = trial = np.zeros_like(rho, dtype=complex)
-    value, t, slope = np.inf, 1.0, 0.0
-    memory = deque(maxlen=LBFGS_MEMORY)
-    for k in range(1, problem.max_iter + 1):
-        trial_value, trial_grad, x, free_margin = geo.dual(trial)
-        grad_norm = linalg.hs_norm(trial_grad)
+    y0 = np.zeros_like(rho, dtype=complex)
+    for k, y, accepted, value, grad, (x, free_margin) in _lbfgs(geo.dual, y0, problem.max_iter):
+        grad_norm = linalg.hs_norm(grad)
         if grad_norm <= tol and max(residuals := geo.residual_triple(x)) <= tol:
             return finish(x, FEASIBLE, k, "tol", residuals=residuals)
         if free_margin < 0:
-            found = witness(trial)
+            found = witness(y)
             if found is not None:
                 return finish(x, INFEASIBLE_NUMERICAL, k, "witness", *found)
-        if trial_value > value + 1e-4 * t * slope:
-            t /= 2  # Armijo sufficient decrease failed: backtrack
-        else:
-            if k > 1:
-                s, g_diff = trial - y, trial_grad - grad
-                curvature = linalg.hs_inner(s, g_diff).real
-                if curvature > 0:
-                    memory.append((s, g_diff, 1.0 / curvature))
-            y, value, grad = trial, trial_value, trial_grad
+        if accepted:
             history.append((k, value, grad_norm))
-            direction = _lbfgs_direction(grad, memory)
-            t, slope = 1.0, linalg.hs_inner(grad, direction).real
-        trial = y + t * direction
     return finish(x, INCONCLUSIVE, problem.max_iter, "budget")
 
 

@@ -3,21 +3,20 @@
 A square factor V of the extension, X(V) = swap_avg(V V^dag) / ||V||_F^2,
 parametrizes the extendible set Tr_B' X(V) without constraints (Burer and
 Monteiro, Math. Program. 95, 2003), and the extension solver's L-BFGS
-minimizes R(rho || Tr_B' X(V)) over it. Frank-Wolfe duality certifies the
-answer: the linear subproblem over the extendible set has a closed form
-(the reduction of the swap-symmetrized minimum-eigenvector projector of
-the lifted gradient), and its gap bounds the distance to the infimum.
+driver ``extend._lbfgs`` minimizes R(rho || Tr_B' X(V)) over it.
+Frank-Wolfe duality certifies the answer: the linear subproblem over the
+extendible set has a closed form (the reduction of the swap-symmetrized
+minimum-eigenvector projector of the lifted gradient), and its gap bounds
+the distance to the infimum.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .extend import FEASIBLE, LBFGS_MEMORY, ExtensionProblem, _Geometry
-from .extend import _lbfgs_direction, solve_extension
+from .extend import FEASIBLE, ExtensionProblem, _Geometry, _lbfgs, solve_extension
 from .quantum import (
     DensityMatrix,
     coherent_information,
@@ -94,14 +93,15 @@ def distance_to_extendible(
 ) -> ParamResult:
     """Certified upper estimate of the normalized distance to extendibility.
 
-    The state is zero-padded to d x d first. L-BFGS with Armijo backtracking
-    minimizes f(V) = R(rho || sigma(V)), sigma(V) = Tr_B' X(V) under a tiny
-    mixing floor; its gradient is (2/t)(L - <L, X> I) V, with t = ||V||_F^2
-    and L the lift of the gradient G in sigma. Every sigma(V) is
-    extendible, so at each accepted point the closed-form LMO s gives the
-    lower bound value - <G, sigma - s> on the infimum, and the best one
-    seen certifies the result. Stops when the value is within gap_tol of
-    that bound or after max_iter evaluations, line-search trials included.
+    The state is zero-padded to d x d first. The extension solver's L-BFGS
+    driver ``_lbfgs`` minimizes f(V) = R(rho || sigma(V)), sigma(V) =
+    Tr_B' X(V) under a tiny mixing floor; its gradient is
+    (2/t)(L - <L, X> I) V, with t = ||V||_F^2 and L the lift of the
+    gradient G in sigma. Every sigma(V) is extendible, so at each accepted
+    point the closed-form LMO s gives the lower bound value - <G, sigma - s>
+    on the infimum, and the best one seen certifies the result. Stops when
+    the value is within gap_tol of that bound or after max_iter (an integer)
+    evaluations, line-search trials included.
 
     extendible says whether rho has a symmetric extension, if the caller
     has already decided it (zero-padding keeps that verdict); None runs an
@@ -113,8 +113,9 @@ def distance_to_extendible(
     """
     if len(rho.dims) != 2:
         raise ValueError(f"state must be bipartite, got dims {rho.dims}")
-    if not (max_iter >= 1 and gap_tol > 0):
-        raise ValueError(f"max_iter and gap_tol must be positive, got {max_iter}, {gap_tol}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1 and gap_tol > 0):
+        raise ValueError(f"max_iter must be a positive integer and gap_tol positive, "
+                         f"got {max_iter}, {gap_tol}")
     embedded = embed_square(rho)
     d = embedded.dims[0]
     scale = normalization_factor(d)
@@ -146,30 +147,15 @@ def distance_to_extendible(
         sigma, iterations = (rho_t + floor) / (1.0 + SIGMA_FLOOR), 1
         if gap_closed(*_grad_and_value(rho_t, sigma, c_rho), sigma):
             stop_reason = "gap"
-    v = trial = np.eye(geo.side, dtype=complex) / math.sqrt(geo.side)
-    value, t, slope = math.inf, 1.0, 0.0
-    memory = deque(maxlen=LBFGS_MEMORY)
-    while stop_reason == "budget" and iterations < max_iter:
-        iterations += 1
-        trial_value, trial_grad, trial_sigma, g = evaluate(trial)
-        if trial_value > value + 1e-4 * t * slope:
-            t /= 2  # Armijo sufficient decrease failed: backtrack
-        else:
-            if value < math.inf:
-                s_v, g_diff = trial - v, trial_grad - grad
-                curvature = linalg.hs_inner(s_v, g_diff).real
-                if curvature > 0:
-                    memory.append((s_v, g_diff, 1.0 / curvature))
-            v, value, grad, sigma = trial, trial_value, trial_grad, trial_sigma
-            if gap_closed(value, g, sigma):
-                stop_reason = "gap"
-                break
-            direction = _lbfgs_direction(grad, memory)
-            t, slope = 1.0, linalg.hs_inner(grad, direction).real
-            if slope >= 0:  # not a descent direction: restart along -grad
-                memory.clear()
-                direction, slope = -grad, -linalg.hs_norm(grad) ** 2
-        trial = v + t * direction
+    if stop_reason == "budget":
+        done, v0 = iterations, np.eye(geo.side, dtype=complex) / math.sqrt(geo.side)
+        for k, _, accepted, value, _, (sig, g) in _lbfgs(evaluate, v0, max_iter - done):
+            iterations = done + k
+            if accepted:
+                sigma = sig
+                if gap_closed(value, g, sigma):
+                    stop_reason = "gap"
+                    break
 
     nearest = DensityMatrix(sigma, (d, d))
     final_value = relative_entropy(embedded, nearest)
@@ -236,20 +222,17 @@ def bound_report(
     )
 
 
-def two_copy_estimate(
-    rho: DensityMatrix, max_iter: int = 2000, gap_tol: float = 1e-5
-) -> float:
-    """Per-copy distance estimate on two copies of a qubit-qubit state.
+def two_copy_estimate(rho: DensityMatrix) -> ParamResult:
+    """Distance estimate on two copies of a qubit-qubit state.
 
-    The doubled state is regrouped as (A1 A2)(B1 B2), treated as 4 x 4, and
-    the returned value is half its normalized distance estimate. Products of
-    extendible states are extendible, so the exact per-copy rate is at most
-    normalization_factor(4) / normalization_factor(2) times the exact
-    single-copy value; it can exceed the single-copy value itself.
+    The doubled state is regrouped as (A1 A2)(B1 B2) and treated as 4 x 4;
+    its ParamResult is returned, and the per-copy rate is its value / 2.
+    Products of extendible states are extendible, so the exact per-copy
+    rate is at most normalization_factor(4) / normalization_factor(2) times
+    the exact single-copy value; it can exceed the single-copy value itself.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"two-copy probe needs a 2 x 2 state, got dims {rho.dims}")
     doubled = np.kron(rho.matrix, rho.matrix)
     regrouped = linalg.permute_systems(doubled, (2, 2, 2, 2), (0, 2, 1, 3))
-    pair = DensityMatrix(regrouped, (4, 4))
-    return distance_to_extendible(pair, max_iter=max_iter, gap_tol=gap_tol).value / 2
+    return distance_to_extendible(DensityMatrix(regrouped, (4, 4)))

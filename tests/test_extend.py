@@ -17,6 +17,7 @@ from symext.extend import (
     ExtensionProblem,
     WitnessCheck,
     _Geometry,
+    _lbfgs,
     bob_side_map_preserves,
     max_extendible_fidelity,
     run_isotropic_sweep,
@@ -47,8 +48,10 @@ def test_problem_validation():
     for bad in (0.0, float("nan")):
         with pytest.raises(ValueError, match="tol"):
             ExtensionProblem(target=target, tol=bad)
+    for bad in (0.0, float("nan"), 100.5):
         with pytest.raises(ValueError, match="max_iter"):
             ExtensionProblem(target=target, max_iter=bad)
+    assert ExtensionProblem(target=target, max_iter=np.int64(5)).max_iter == 5
     big = random_density(rng, (9, 12))
     with pytest.raises(ValueError, match="side"):
         solve(big)
@@ -213,6 +216,46 @@ def test_stop_reasons_budget_and_one_sidedness(monkeypatch):
     cert = solve(isotropic(2, 0.8), max_iter=500)
     assert cert.verdict == "Inconclusive" and cert.stop_reason == "budget"
     assert cert.witness is None
+
+
+def _quadratic(rng, n):
+    # f(X) = 1/2 <X - M, D o (X - M)> over Hermitian X, with D real symmetric
+    # and positive entrywise: strictly convex, minimized at the Hermitian M
+    m = _random_hermitian(rng, n)
+    d = rng.uniform(0.5, 5.0, (n, n))
+    d = (d + d.T) / 2
+
+    def evaluate(x):
+        g = d * (x - m)
+        return 0.5 * linalg.hs_inner(x - m, g).real, g
+
+    return m, evaluate
+
+
+def test_lbfgs_driver_reaches_known_minimizer():
+    m, evaluate = _quadratic(np.random.default_rng(11), 4)
+    steps = []
+    for k, x, accepted, value, grad, extra in _lbfgs(evaluate, np.zeros_like(m), 200):
+        assert extra == []
+        steps.append((k, x, accepted, value))
+        if accepted and linalg.hs_norm(grad) <= 1e-10:
+            break
+    assert [k for k, *_ in steps] == list(range(1, len(steps) + 1))
+    assert len(steps) < 200
+    values = [value for _, _, accepted, value in steps if accepted]
+    assert all(b < a for a, b in zip(values, values[1:]))
+    assert linalg.hs_norm(steps[-1][1] - m) <= 1e-9
+
+
+def test_lbfgs_driver_at_minimizer_restarts_in_place():
+    # grad = 0 and slope 0: the direction is not a descent one, so the
+    # driver restarts along -grad = 0 and stays put for the whole budget
+    m, evaluate = _quadratic(np.random.default_rng(12), 3)
+    steps = list(_lbfgs(evaluate, m.copy(), 7))
+    assert [k for k, *_ in steps] == list(range(1, 8))
+    for _, x, accepted, value, grad, _ in steps:
+        assert accepted and value == 0.0 and np.array_equal(x, m)
+        assert not np.isnan(grad).any() and not grad.any()
 
 
 def test_channel_verdicts():
