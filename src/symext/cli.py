@@ -10,6 +10,7 @@ and as "internal error: <type>: ..." for a fault inside the program.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -288,6 +289,7 @@ def cmd_verify_paper(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symext",
@@ -335,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -19,7 +19,11 @@ unconstrained convex function of a Hermitian y on A (x) B
 
 with gradient Tr_B' X(y) - rho; Pi_+ clamps negative eigenvalues. The
 L-BFGS driver ``_lbfgs``, shared with ``param``, minimizes it. Each
-evaluation costs one eigh of P lift(y) P, which gives both exits:
+evaluation costs one eigh, of size dim P, of B^dag lift(y) B (B an
+orthonormal basis of range P, the identity when P is everything; empty for
+a pure entangled rho). Its eigenpairs (w, U) give the factor
+F = B U sqrt(w_+) of X(y) = F F^dag, and so the gradient and both exits;
+X(y) itself is formed only at an exit:
 
   * Feasible: X(y) is PSD and swap-invariant by construction, so once the
     gradient norm (the marginal residual) is at most tol, X(y) is an
@@ -29,15 +33,15 @@ evaluation costs one eigh of P lift(y) P, which gives both exits:
     Tr(W sigma) >= lambda_min(lift W) (Doherty, Parrilo and Spedalieri,
     PRA 69, 022308, 2004), so a negative margin Tr(W rho) - lambda_min
     proves rho has no extension. Any extension X of rho satisfies
-    Re<rho, y> = <X, P lift(y) P> <= lambda_max(P lift(y) P), so the free
-    test lambda_max(P lift(y) P) < Re<rho, y> cannot hold for an
-    extendible rho; the dual is unbounded below exactly when rho is not
-    extendible, and its descent then drives y into this region. When the
-    test fires, W = -y is tried, and within a face also W = -y + c K with
-    K the projector onto ker(rho): Tr(K rho) = 0 and lift(K) >= 0 vanishes
-    exactly on range P, so a large enough c moves lambda_min(lift W) onto
-    the face. A witness ends the solve only after ``verify_witness``
-    confirms its margin beyond a floating-point error bound.
+    Re<rho, y> = <X, P lift(y) P> <= lambda_max(P lift(y) P), which is at
+    most max(w_max, 0), so the free test max(w_max, 0) < Re<rho, y> cannot
+    hold for an extendible rho; the dual is unbounded below exactly when
+    rho is not extendible, and its descent then drives y into this region.
+    When the test fires, W = -y is tried, and within a face also
+    W = -y + c K with K the projector onto ker(rho): Tr(K rho) = 0 and
+    lift(K) >= 0 vanishes exactly on range P, so a large enough c moves
+    lambda_min(lift W) onto the face. A witness ends the solve only after
+    ``verify_witness`` confirms its margin beyond a floating-point error bound.
 
 A target rho_A (x) I/d_B is caught before the dual starts: the start point
 rho (x) I/d_B is then already an extension.
@@ -154,10 +158,10 @@ class WitnessCheck:
 
 
 class _Geometry:
-    """Extension geometry on A (x) B (x) B', shared by the solver and the
-    Frank-Wolfe oracle: swap average, reduction Tr_B', lift
-    Y -> sym(Y (x) I_B'). Given a target state it also carries the
-    forced-support projector pi_t and the projector ker onto ker(target)."""
+    """Extension geometry on A (x) B (x) B' for the solver and the Frank-Wolfe
+    oracle: swap average, reduction Tr_B', lift Y -> sym(Y (x) I_B'). For a
+    target it also carries an orthonormal basis (side x dim P) of the forced
+    range P and the projector ker onto ker(target); both None if P is all."""
 
     def __init__(self, dims, rho=None, tol=None):
         d_a, d_b = dims
@@ -167,14 +171,14 @@ class _Geometry:
         self.shape6 = (d_a, d_b, d_b) * 2
         self.eye_b = np.eye(d_b)
         self.rho = None if rho is None else np.asarray(rho)
-        self.pi_t = self.ker = None
+        self.basis = self.ker = None
         if rho is not None:
-            self._support_projector(tol)
+            self._support_basis(tol)
 
-    def _support_projector(self, tol: float):
+    def _support_basis(self, tol: float):
         # For |psi> in ker(rho), positivity of X and Tr_B' X = rho force
         # X (|psi> (x) |k>) = 0; swap invariance forces the same on the
-        # swapped image. Both stay None when the forced subspace is everything.
+        # swapped image, so range P is the intersection of the two ranges.
         w, u = np.linalg.eigh(self.rho)
         thresh = max(1e-12, 1e-4 * tol) * max(1.0, float(w.max()))
         supp = u[:, w > thresh]
@@ -184,21 +188,13 @@ class _Geometry:
         pi1 = self.kron_eye(supp_proj)
         pi2 = linalg.swap_conjugate(pi1, (self.d_a, self.d_b, self.d_b), 1, 2)
         wt, ut = np.linalg.eigh(pi1 + pi2)
-        basis = ut[:, wt > 2.0 - 1e-9]
-        pi = basis @ basis.conj().T
-        self.pi_t = (pi + pi.conj().T) / 2
+        self.basis = ut[:, wt > 2.0 - 1e-9]
         ker = np.eye(self.d_ab) - supp_proj
         self.ker = (ker + ker.conj().T) / 2
 
     def swap_avg(self, m):
         flipped = m.reshape(self.shape6).transpose(0, 2, 1, 3, 5, 4)
         return (m + flipped.reshape(self.side, self.side)) / 2
-
-    def support_apply(self, m):
-        if self.pi_t is None:
-            return m
-        out = self.pi_t @ m @ self.pi_t
-        return (out + out.conj().T) / 2
 
     def ptrace_last(self, m):
         t = m.reshape(self.d_ab, self.d_b, self.d_ab, self.d_b)
@@ -227,16 +223,19 @@ class _Geometry:
         return float(w[0]), (s + s.conj().T) / 2
 
     def dual(self, y):
-        """From one eigh of P lift(y) P: theta(y), its gradient
-        Tr_B' X(y) - rho, the candidate X(y) = Pi_+(P lift(y) P) and the
-        free margin lambda_max(P lift(y) P) - Re<rho, y>."""
-        w, u = np.linalg.eigh(self.support_apply(self.lift(y)))
-        w_pos = np.clip(w, 0.0, None)
-        x = (u * w_pos) @ u.conj().T
-        x = (x + x.conj().T) / 2
+        """From one eigh of B^dag lift(y) B (B = basis, the identity when
+        None): theta(y), its gradient Tr_B' X(y) - rho, a factor F of
+        X(y) = F F^dag and the free margin max(w_max, 0) - Re<rho, y>."""
+        b = self.basis
+        m = self.lift(y) if b is None else b.conj().T @ self.lift(y) @ b
+        w, u = np.linalg.eigh(m)
+        pos = w > 0
+        f = u[:, pos] * np.sqrt(w[pos])
+        f = f if b is None else b @ f
+        fr = f.reshape(self.d_ab, -1)
         rho_y = linalg.hs_inner(self.rho, y).real
-        value = 0.5 * float(w_pos @ w_pos) - rho_y
-        return value, self.ptrace_last(x) - self.rho, x, float(w[-1]) - rho_y
+        value = 0.5 * float(w[pos] @ w[pos]) - rho_y
+        return value, fr @ fr.conj().T - self.rho, f, w.max(initial=0.0) - rho_y
 
     def residual_triple(self, m):
         swap_res = 2.0 * linalg.hs_norm(m - self.swap_avg(m))
@@ -319,6 +318,10 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
             x, psd, swap, pt, iterations, verdict, stop_reason, history, witness, margin
         )
 
+    def candidate(f):
+        x = f @ f.conj().T
+        return (x + x.conj().T) / 2
+
     def witness(y):
         tries = [-y]
         if geo.ker is not None:
@@ -337,17 +340,17 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
         return finish(x, FEASIBLE, 0, "tol", residuals=residuals)
 
     y0 = np.zeros_like(rho, dtype=complex)
-    for k, y, accepted, value, grad, (x, free_margin) in _lbfgs(geo.dual, y0, problem.max_iter):
+    for k, y, accepted, value, grad, (f, free_margin) in _lbfgs(geo.dual, y0, problem.max_iter):
         grad_norm = linalg.hs_norm(grad)
-        if grad_norm <= tol and max(residuals := geo.residual_triple(x)) <= tol:
+        if grad_norm <= tol and max(residuals := geo.residual_triple(x := candidate(f))) <= tol:
             return finish(x, FEASIBLE, k, "tol", residuals=residuals)
         if free_margin < 0:
             found = witness(y)
             if found is not None:
-                return finish(x, INFEASIBLE_NUMERICAL, k, "witness", *found)
+                return finish(candidate(f), INFEASIBLE_NUMERICAL, k, "witness", *found)
         if accepted:
             history.append((k, value, grad_norm))
-    return finish(x, INCONCLUSIVE, problem.max_iter, "budget")
+    return finish(candidate(f), INCONCLUSIVE, problem.max_iter, "budget")
 
 
 def verify_certificate(x, target: DensityMatrix) -> CertificateResiduals:

@@ -144,14 +144,10 @@ def max_entangled_projector(d: int) -> np.ndarray:
 
 
 def choi_from_kraus(ch: KrausChannel) -> ChoiState:
-    """Apply the channel to one half of the maximally entangled state."""
-    d = ch.d_in
-    p = max_entangled_projector(d)
-    out = np.zeros((d * ch.d_out, d * ch.d_out), dtype=complex)
-    for k in ch.kraus:
-        lifted = np.kron(np.eye(d), k)
-        out += lifted @ p @ lifted.conj().T
-    return ChoiState(DensityMatrix(out, (d, ch.d_out)))
+    """Apply the channel to one half of the maximally entangled state: V V^dag,
+    with columns (I (x) K) sum_i |ii> / sqrt(d_in) = vec(K^T) / sqrt(d_in)."""
+    v = np.transpose(ch.kraus, (0, 2, 1)).reshape(len(ch.kraus), -1).T / math.sqrt(ch.d_in)
+    return ChoiState(DensityMatrix(v @ v.conj().T, (ch.d_in, ch.d_out)))
 
 
 def kraus_from_choi(c: ChoiState) -> KrausChannel:

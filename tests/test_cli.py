@@ -285,3 +285,41 @@ def test_exit_codes_stay_in_contract(tmp_path):
     write_json(infile, state_to_payload(isotropic(2, 0.5)))
     assert main(["test", str(infile)]) in (0, 1, 2)
     assert main(["test", str(tmp_path / "missing.json")]) == 2
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    import symext.cli as cli
+
+    test_file = tmp_path / "test.json"
+    param_file = tmp_path / "param.json"
+    write_json(test_file, state_to_payload(isotropic(2, 0.9)))
+    write_json(param_file, state_to_payload(example_state(0.45)))
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an invalid option
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    calls = [
+        ["test", str(test_file)],
+        ["param", str(param_file), "--json"],
+        ["test", str(test_file), "--no-such-option"],
+    ]
+    first = [run(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [1, 0, 2]
+    assert "--no-such-option" in first[2][2]
+    # the same requests again in the same process: same exit codes and output
+    assert [run(argv) for argv in calls] == first
+
+    # the parser is built once, and a patched library function is still seen
+    assert cli.build_parser() is cli.build_parser()
+
+    def broken(problem):
+        raise RuntimeError("solver fault")
+
+    monkeypatch.setattr(cli, "solve_extension", broken)
+    code, _, err = run(calls[0])
+    assert code == 2 and err.startswith("internal error: RuntimeError: solver fault")

@@ -67,10 +67,10 @@ def _random_hermitian(rng, n):
 )
 def test_dual_geometry(dims):
     rng = np.random.default_rng(11)
-    # rank 2 puts the dual on a proper face (pi_t is not None)
+    # rank 2 puts the dual on a proper face (the support basis is not None)
     target = random_density(rng, dims, rank=2)
     geo = _Geometry(dims, target.matrix, 1e-7)
-    assert geo.pi_t is not None
+    assert geo.basis is not None
     n = geo.d_ab
     # the lift is the adjoint of Tr_B' on swap-invariant matrices
     y = _random_hermitian(rng, n)
@@ -86,6 +86,70 @@ def test_dual_geometry(dims):
         numeric = (geo.dual(y + eps * h)[0] - geo.dual(y - eps * h)[0]) / (2 * eps)
         analytic = float(np.real(linalg.hs_inner(grad, h)))
         assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
+
+
+def _dense_dual(rho, dims, y):
+    """theta, gradient, free margin and X(y) from a dense eigh of P lift(y) P.
+    Range P is range(pi1) intersected with range(swap pi1 swap), for
+    pi1 = supp(rho) (x) I, taken as the null space of the stacked complements."""
+    d_a, d_b = dims
+    n, side = d_a * d_b, d_a * d_b * d_b
+    w, u = np.linalg.eigh(rho)
+    supp = u[:, w > 1e-10]
+    v = linalg.swap_operator((d_a, d_b, d_b), 1, 2)
+    pi1 = np.kron(supp @ supp.conj().T, np.eye(d_b))
+    _, sv, vh = np.linalg.svd(np.vstack([np.eye(side) - pi1, np.eye(side) - v @ pi1 @ v]))
+    basis = vh[sv < 1e-9].conj().T
+    p = basis @ basis.conj().T
+    lifted = np.kron(y, np.eye(d_b))
+    wl, ul = np.linalg.eigh(p @ ((lifted + v @ lifted @ v) / 2) @ p)
+    w_pos = np.clip(wl, 0.0, None)
+    x = (ul * w_pos) @ ul.conj().T
+    t = x.reshape(n, d_b, n, d_b)
+    grad = sum(t[:, k, :, k] for k in range(d_b)) - rho
+    rho_y = float(np.real(np.trace(rho @ y)))
+    return 0.5 * float(w_pos @ w_pos) - rho_y, grad, float(wl.max()) - rho_y, x, basis.shape[1]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize(
+    "dims", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
+)
+def test_dual_on_support_matches_dense_reference(dims, rank):
+    rng = np.random.default_rng(100 + 10 * rank + dims[0] * dims[1])
+    target = random_density(rng, dims, rank=rank)
+    geo = _Geometry(dims, target.matrix, 1e-7)
+    for _ in range(3):
+        y = _random_hermitian(rng, geo.d_ab)
+        value, grad, f, margin = geo.dual(y)
+        ref_value, ref_grad, ref_margin, ref_x, dim_p = _dense_dual(target.matrix, dims, y)
+        # the dual works in coordinates of range P, of dimension below side
+        assert geo.basis.shape == (geo.side, dim_p) and dim_p < geo.side
+        assert f.shape[0] == geo.side and f.shape[1] <= dim_p
+        scale = max(1.0, linalg.hs_norm(y))
+        assert abs(value - ref_value) <= 1e-12 * scale**2
+        assert abs(margin - ref_margin) <= 1e-12 * scale
+        assert linalg.hs_norm(grad - ref_grad) <= 1e-12 * scale
+        assert linalg.hs_norm(f @ f.conj().T - ref_x) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        DensityMatrix(max_entangled_projector(2), (2, 2)),
+        random_entangled_pure(np.random.default_rng(23), (2, 3)),
+    ],
+    ids=["maxent2", "pure-2x3"],
+)
+def test_empty_support_ends_with_witness(target):
+    # a pure entangled target has no room for an extension: range P is
+    # empty and every dual evaluation runs an eigh of size 0
+    geo = _Geometry(target.dims, target.matrix, 1e-7)
+    assert geo.basis.shape == (geo.side, 0)
+    cert = solve(target)
+    assert cert.verdict == INFEASIBLE_NUMERICAL and cert.stop_reason == "witness"
+    assert verify_witness(cert.witness, target).certified
+    assert cert.candidate.shape == (geo.side, geo.side) and not cert.candidate.any()
 
 
 def test_product_state_feasible():
@@ -272,6 +336,50 @@ def test_channel_verdicts():
 
     result = channel_capacity_test(depolarizing_channel(2, 0.1))
     assert result.certificate.verdict == INFEASIBLE_NUMERICAL
+
+
+def _measure_prepare(rng, d_in, d_out, n_out):
+    """Rank-one POVM from the rows of an isometry, then a pure state per outcome."""
+    a = rng.standard_normal((n_out, d_in)) + 1j * rng.standard_normal((n_out, d_in))
+    q, _ = np.linalg.qr(a)
+    ops = []
+    for row in q:
+        t = rng.standard_normal(d_out) + 1j * rng.standard_normal(d_out)
+        ops.append(np.outer(t / np.linalg.norm(t), row.conj()))
+    return KrausChannel(d_in, d_out, tuple(ops))
+
+
+def _amplitude_damping(gamma):
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
+    return KrausChannel(2, 2, (k0, k1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _measure_prepare(rng, 2, 2, 3),
+        lambda rng: _measure_prepare(rng, 3, 3, 4),
+        lambda rng: _measure_prepare(rng, 2, 3, 3),
+        lambda rng: _amplitude_damping(0.5),
+        lambda rng: _amplitude_damping(rng.uniform(0.5, 1.0)),
+    ],
+    ids=["mp-2to2", "mp-3to3", "mp-2to3", "ampdamp-0.5", "ampdamp"],
+)
+def test_rank_deficient_channels_certify_on_the_support(make):
+    # fewer Kraus operators than d_in d_out: the Choi state is rank-deficient,
+    # so the dual runs on a forced-support range P smaller than the side
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        ch = make(rng)
+        assert len(ch.kraus) < ch.d_in * ch.d_out
+        result = channel_capacity_test(ch)
+        choi = result.choi
+        geo = _Geometry(choi.dims, choi.matrix, ExtensionProblem.tol)
+        assert geo.basis is not None and geo.basis.shape[1] < geo.side
+        assert result.certificate.verdict == FEASIBLE and result.capacity_zero_certified
+        res = verify_certificate(result.certificate.candidate, choi)
+        assert res.combined <= ExtensionProblem.tol
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

@@ -82,6 +82,21 @@ def test_choi_marginal_invariant_random_channels():
         assert np.linalg.norm(marg - np.eye(3) / 3) <= 1e-9
 
 
+@pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2)])
+def test_choi_non_square_matches_definition(d_in, d_out):
+    # oracle: sum_k (I (x) K) P+ (I (x) K)^dag with P+ the projector on
+    # sum_i |ii> / sqrt(d_in), built with np.kron
+    ch = random_cptp(np.random.default_rng(24), d_in, d_out, 2)
+    phi = np.eye(d_in).reshape(-1) / np.sqrt(d_in)
+    oracle = sum(
+        np.kron(np.eye(d_in), k) @ np.outer(phi, phi) @ np.kron(np.eye(d_in), k).conj().T
+        for k in ch.kraus
+    )
+    choi = choi_from_kraus(ch)
+    assert choi.state.dims == (d_in, d_out)
+    assert np.linalg.norm(choi.state.matrix - oracle) <= 1e-14
+
+
 def test_kraus_from_choi_identity():
     ch = kraus_from_choi(choi_from_kraus(identity_channel()))
     assert len(ch.kraus) == 1
