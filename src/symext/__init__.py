@@ -8,7 +8,6 @@ symmetrically extendible set.
 
 from .constructions import (
     ExampleFamilyParams,
-    WernerOperators,
     boundary_isotropic_extension,
     example_extension,
     example_state,
@@ -17,7 +16,6 @@ from .constructions import (
     isotropic,
     isotropic_boundary_fidelity,
     rank1_extension_state,
-    werner_operators,
 )
 from .extend import (
     FEASIBLE,

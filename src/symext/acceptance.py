@@ -27,6 +27,7 @@ from .extend import (
     bob_side_map_preserves,
     run_isotropic_sweep,
     solve_extension,
+    verify_certificate,
     verify_witness,
 )
 from .param import (
@@ -74,10 +75,8 @@ def _extension_reduction(seed):
             splits.append(((1.0 - f) / 3.0 - lam2, lam2))
         for overrides in splits:
             ext = example_extension(ExampleFamilyParams(f, overrides))
-            red = linalg.partial_trace(ext, (3, 3, 3), keep={0, 1})
-            worst = max(worst, float(np.abs(red - example_state(f).matrix).max()))
-            swap = linalg.hs_norm(ext - linalg.swap_conjugate(ext, (3, 3, 3), 1, 2))
-            worst = max(worst, swap)
+            res = verify_certificate(ext, example_state(f))
+            worst = max(worst, res.combined)
     return f"{worst:.2e}", worst <= 1e-12
 
 
@@ -98,24 +97,13 @@ def _extension_psd_boundary():
 
 
 def _boundary_extension_oracle(d):
+    """The closed-form extension, checked by verify_certificate against the
+    boundary isotropic state: the marginal residual bounds the trace and
+    fidelity errors by d * pt and pt."""
     ext = boundary_isotropic_extension(d)
-    trace_err = abs(float(ext.trace().real) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(ext).min())
-    swap = linalg.hs_norm(ext - linalg.swap_conjugate(ext, (d, d, d), 1, 2))
-    red = linalg.partial_trace(ext, (d, d, d), keep={0, 1})
-    fid = float(np.real(linalg.hs_inner(max_entangled_projector(d), red)))
-    fid_err = abs(fid - isotropic_boundary_fidelity(d))
-    ok = (
-        trace_err <= 1e-12
-        and min_eig >= -1e-10
-        and swap <= 1e-12
-        and fid_err <= 1e-10
-    )
-    return (
-        f"trace_err={trace_err:.1e} min_eig={min_eig:.1e} "
-        f"swap={swap:.1e} fid_err={fid_err:.1e}",
-        ok,
-    )
+    res = verify_certificate(ext, isotropic(d, isotropic_boundary_fidelity(d)))
+    ok = res.psd <= 1e-10 and res.swap <= 1e-12 and res.pt <= 1e-12 / d
+    return f"psd={res.psd:.1e} swap={res.swap:.1e} pt={res.pt:.1e}", ok
 
 
 def _headline_zero_capacity():
@@ -248,12 +236,9 @@ def _registry(seed):
          lambda: _extension_reduction(seed)),
         ("extension-family-psd-boundary", "0.5", "1e-9",
          _extension_psd_boundary),
-        ("boundary-extension-d2", "trace/PSD/swap/fidelity", "1e-12..1e-10",
-         lambda: _boundary_extension_oracle(2)),
-        ("boundary-extension-d3", "trace/PSD/swap/fidelity", "1e-12..1e-10",
-         lambda: _boundary_extension_oracle(3)),
-        ("boundary-extension-d4", "trace/PSD/swap/fidelity", "1e-12..1e-10",
-         lambda: _boundary_extension_oracle(4)),
+        *((f"boundary-extension-d{d}", "psd/swap/pt vs isotropic at (d+1)/(2d)",
+           f"1e-10/1e-12/{1e-12 / d:.1e}", lambda d=d: _boundary_extension_oracle(d))
+          for d in (2, 3, 4, 6, 8)),
         ("headline-zero-capacity", "Feasible, neg>0.05, hashing<=0", "exact",
          _headline_zero_capacity),
         ("normalization-anchor-d2", "1.000000, gap<=1e-3, stop=gap", "1e-3",

@@ -22,8 +22,6 @@ __all__ = [
     "generalized_rank1_state",
     "isotropic",
     "isotropic_boundary_fidelity",
-    "WernerOperators",
-    "werner_operators",
     "boundary_isotropic_extension",
 ]
 
@@ -198,37 +196,20 @@ def isotropic_boundary_fidelity(d: int) -> float:
     return (d + 1) / (2 * d)
 
 
-@dataclass(frozen=True)
-class WernerOperators:
-    """Basis operators of the exchange-invariant commutant on d x d x d."""
-
-    x: np.ndarray
-    v: np.ndarray
-    s0: np.ndarray
-    s1: np.ndarray
-
-
-def werner_operators(d: int) -> WernerOperators:
-    """Build X = |phi><phi| (x) I (phi unnormalized), V = swap(2,3), S0, S1."""
-    d = int(d)
-    if not 2 <= d <= 6:
-        raise ValueError(f"dimension must be in [2, 6], got {d}")
-    phi = np.eye(d, dtype=complex).reshape(-1)
-    x = np.kron(np.outer(phi, phi.conj()), np.eye(d))
-    v = linalg.swap_operator((d, d, d), 1, 2)
-    vxv = v @ x @ v
-    xv = x @ v
-    vx = v @ x
-    s0 = (d * (x + vxv) - (xv + vx)) / (d**2 - 1)
-    s1 = (d * (xv + vx) - (x + vxv)) / (d**2 - 1)
-    return WernerOperators(x=x, v=v, s0=s0, s1=s1)
-
-
 def boundary_isotropic_extension(d: int) -> np.ndarray:
-    """Explicit symmetric extension of the boundary isotropic state.
+    """Explicit symmetric extension of the boundary isotropic state, any d >= 2.
 
-    Equals (S0 + S1)/(2d): trace one, PSD, invariant under swapping the
-    last two factors, and its two-party reduction has fidelity (d+1)/(2d).
+    Equals 2 Pi (Phi (x) I) Pi / (d(d+1)), with Pi = (I + V)/2 the projector
+    onto the part of B (x) B' symmetric under the swap V and Phi = |phi><phi|,
+    phi = sum_i |ii>. So it is 2/(d(d+1)) S S^dag, where column k of S is
+    Pi (|phi> (x) |k>): trace one, PSD, invariant under swapping the last two
+    factors, and its two-party reduction is isotropic with fidelity (d+1)/(2d).
     """
-    ops = werner_operators(d)
-    return (ops.s0 + ops.s1) / (2 * d)
+    d = int(d)
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    e = np.eye(d, dtype=complex)
+    # column k of phi_k is |phi> (x) |k>, indexed (a, b, b', k); V swaps b, b'
+    phi_k = e[:, :, None, None] * e[None, None, :, :]
+    s = ((phi_k + phi_k.transpose(0, 2, 1, 3)) / 2).reshape(d**3, d)
+    return 2 / (d * (d + 1)) * (s @ s.conj().T)

@@ -178,17 +178,16 @@ class _Geometry:
     def _support_basis(self, tol: float):
         # For |psi> in ker(rho), positivity of X and Tr_B' X = rho force
         # X (|psi> (x) |k>) = 0; swap invariance forces the same on the
-        # swapped image, so range P is the intersection of the two ranges.
+        # swapped image, so range P is the intersection of the two ranges:
+        # the eigenvalue-1 eigenspace of the average of the two projectors.
         w, u = np.linalg.eigh(self.rho)
         thresh = max(1e-12, 1e-4 * tol) * max(1.0, float(w.max()))
         supp = u[:, w > thresh]
         if supp.shape[1] == self.d_ab:
             return
         supp_proj = supp @ supp.conj().T
-        pi1 = self.kron_eye(supp_proj)
-        pi2 = linalg.swap_conjugate(pi1, (self.d_a, self.d_b, self.d_b), 1, 2)
-        wt, ut = np.linalg.eigh(pi1 + pi2)
-        self.basis = ut[:, wt > 2.0 - 1e-9]
+        wt, ut = np.linalg.eigh(self.swap_avg(self.kron_eye(supp_proj)))
+        self.basis = ut[:, wt > 1.0 - 5e-10]
         ker = np.eye(self.d_ab) - supp_proj
         self.ker = (ker + ker.conj().T) / 2
 
@@ -464,6 +463,8 @@ def max_extendible_fidelity(d: int, tol: float = 5e-3) -> float:
     d = int(d)
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
+    if not tol > 0:  # at one ulp the bisection stops shrinking: tol <= 0 never ends
+        raise ValueError(f"tol must be positive, got {tol}")
     lo, hi = 1.0 / d, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2

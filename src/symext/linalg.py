@@ -12,11 +12,9 @@ HERMITICITY_TOL = 1e-10
 __all__ = [
     "dims_product",
     "hermitianize",
-    "kron",
     "partial_trace",
     "partial_transpose",
     "swap_operator",
-    "swap_conjugate",
     "permute_systems",
     "hermitian_eig",
     "psd_project",
@@ -70,11 +68,6 @@ def hermitianize(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
             f"exceeds tolerance {tol:.1e}"
         )
     return (m + m.conj().T) / 2
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor on the coarse index."""
-    return np.kron(_as_square(a), _as_square(b))
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -135,20 +128,6 @@ def swap_operator(dims, i: int, j: int) -> np.ndarray:
     v = np.zeros((side, side), dtype=complex)
     v[rows, np.arange(side)] = 1.0
     return v
-
-
-def swap_conjugate(m, dims, i: int, j: int) -> np.ndarray:
-    """Conjugation V m V for the swap of factors i and j, without building V."""
-    m = _as_square(m)
-    dims = _check_dims(m, dims)
-    n = len(dims)
-    if dims[i] != dims[j]:
-        raise ValueError("cannot swap factors of unequal dimension")
-    t = m.reshape(dims + dims)
-    axes = list(range(2 * n))
-    axes[i], axes[j] = axes[j], axes[i]
-    axes[n + i], axes[n + j] = axes[n + j], axes[n + i]
-    return t.transpose(axes).reshape(m.shape)
 
 
 def permute_systems(m, dims, perm) -> np.ndarray:

@@ -7,11 +7,7 @@ import numpy as np
 
 from . import linalg
 
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-9
-PSD_TOL = 1e-9
-KRAUS_TOL = 1e-9
-CHOI_MARGINAL_TOL = 1e-9
+INPUT_TOL = 1e-9  # trace, PSD, Kraus-completeness and Choi-marginal residuals
 LOG_FLOOR = 1e-12
 KERNEL_EIG_TOL = 1e-13
 SUPPORT_MASS_TOL = 1e-8
@@ -49,27 +45,19 @@ class DensityMatrix:
     dims: tuple = field(default=())
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        m = linalg.hermitianize(self.matrix)
         dims = tuple(int(d) for d in self.dims) if self.dims else (m.shape[0],)
         if linalg.dims_product(dims) != m.shape[0]:
             raise ValueError(
                 f"dims {dims} product {linalg.dims_product(dims)} does not match "
                 f"matrix side {m.shape[0]}"
             )
-        skew = linalg.hs_norm((m - m.conj().T) / 2)
-        if skew > HERM_TOL * max(1.0, linalg.hs_norm(m)):
-            raise ValueError(
-                f"not Hermitian: skew norm {skew:.3e} exceeds {HERM_TOL:.1e}"
-            )
-        m = (m + m.conj().T) / 2
         tr = float(m.trace().real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > INPUT_TOL:
             raise ValueError(f"trace is {tr!r}, off from 1 by {abs(tr - 1.0):.3e}")
         wmin = float(np.linalg.eigvalsh(m).min())
-        if wmin < -PSD_TOL:
-            raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{PSD_TOL:.1e}")
+        if wmin < -INPUT_TOL:
+            raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{INPUT_TOL:.1e}")
         object.__setattr__(self, "matrix", _readonly(m))
         object.__setattr__(self, "dims", dims)
 
@@ -98,12 +86,14 @@ class KrausChannel:
                 raise ValueError(
                     f"Kraus operator shape {k.shape} is not ({d_out}, {d_in})"
                 )
+            if not np.all(np.isfinite(k)):
+                raise ValueError("Kraus operator contains NaN or Inf entries")
         comp = sum(k.conj().T @ k for k in ops)
         res = linalg.hs_norm(comp - np.eye(d_in))
-        if res > KRAUS_TOL:
+        if res > INPUT_TOL:
             raise ValueError(
                 f"not trace-preserving: ||sum K†K - I|| = {res:.3e} "
-                f"exceeds {KRAUS_TOL:.1e}"
+                f"exceeds {INPUT_TOL:.1e}"
             )
         object.__setattr__(self, "d_in", d_in)
         object.__setattr__(self, "d_out", d_out)
@@ -122,10 +112,10 @@ class ChoiState:
         d_in = self.state.dims[0]
         marg = linalg.partial_trace(self.state.matrix, self.state.dims, keep={0})
         res = linalg.hs_norm(marg - np.eye(d_in) / d_in)
-        if res > CHOI_MARGINAL_TOL:
+        if res > INPUT_TOL:
             raise ValueError(
                 f"input marginal differs from I/{d_in}: residual {res:.3e} "
-                f"exceeds {CHOI_MARGINAL_TOL:.1e}"
+                f"exceeds {INPUT_TOL:.1e}"
             )
 
     @property

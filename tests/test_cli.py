@@ -56,6 +56,18 @@ def test_channel_payload_diagnostics():
         channel_from_payload(bad)
 
 
+def test_cmd_nonfinite_kraus_is_input_error(tmp_path, capsys):
+    infile = tmp_path / "channel.json"
+    for bad in (float("nan"), float("inf")):
+        kraus = np.eye(2, dtype=complex)
+        kraus[0, 1] = bad
+        write_json(infile, {"d_in": 2, "d_out": 2, "kraus": [encode_matrix(kraus)]})
+        for argv in (["test", str(infile)], ["choi", str(infile), str(tmp_path / "o.json")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error:") and "NaN or Inf" in err
+
+
 def test_cmd_choi(tmp_path, capsys):
     infile = tmp_path / "channel.json"
     outfile = tmp_path / "choi.json"

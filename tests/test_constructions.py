@@ -12,7 +12,6 @@ from symext.constructions import (
     isotropic,
     isotropic_boundary_fidelity,
     rank1_extension_state,
-    werner_operators,
 )
 from symext.extend import FEASIBLE, ExtensionProblem, solve_extension, verify_certificate
 from symext.quantum import (
@@ -99,7 +98,7 @@ def test_extension_reduces_and_is_swap_invariant():
             ext = example_extension(ExampleFamilyParams(f, overrides))
             red = linalg.partial_trace(ext, (3, 3, 3), keep={0, 1})
             assert np.abs(red - example_state(f).matrix).max() <= 1e-12
-            swapped = linalg.swap_conjugate(ext, (3, 3, 3), 1, 2)
+            swapped = linalg.permute_systems(ext, (3, 3, 3), (0, 2, 1))
             assert linalg.hs_norm(ext - swapped) <= 1e-12
             assert abs(ext.trace().real - 1.0) <= 1e-12
 
@@ -179,15 +178,19 @@ def test_boundary_fidelity_values():
     assert all(a > b > 0.5 for a, b in zip(vals, vals[1:]))
 
 
+def werner_reference(d):
+    """Dense X = |phi><phi| (x) I (phi = sum_i |ii>) and V = swap(B, B')."""
+    phi = np.eye(d).reshape(-1)
+    return np.kron(np.outer(phi, phi), np.eye(d)), linalg.swap_operator((d, d, d), 1, 2)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_werner_operator_traces(d):
-    ops = werner_operators(d)
-    assert ops.x.trace().real == pytest.approx(d**2)
-    assert (ops.x @ ops.v).trace().real == pytest.approx(d)
-    assert ops.s0.trace().real == pytest.approx(2 * d)
-    assert np.linalg.norm(ops.v @ ops.v - np.eye(d**3)) <= 1e-12
-    with pytest.raises(ValueError):
-        werner_operators(7)
+    # the dense reference that the formula identity below compares against
+    x, v = werner_reference(d)
+    assert x.trace().real == pytest.approx(d**2)
+    assert (x @ v).trace().real == pytest.approx(d)
+    assert np.linalg.norm(v @ v - np.eye(d**3)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -195,18 +198,26 @@ def test_boundary_isotropic_extension_oracle(d):
     ext = boundary_isotropic_extension(d)
     assert abs(ext.trace().real - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(ext).min() >= -1e-10
-    swapped = linalg.swap_conjugate(ext, (d, d, d), 1, 2)
+    swapped = linalg.permute_systems(ext, (d, d, d), (0, 2, 1))
     assert linalg.hs_norm(ext - swapped) <= 1e-12
     red = DensityMatrix(linalg.partial_trace(ext, (d, d, d), keep={0, 1}), (d, d))
     assert fidelity_maxent(red) == pytest.approx(
         isotropic_boundary_fidelity(d), abs=1e-10
     )
     # formula identity: equals (X + VXV + XV + VX) / (2d(d+1))
-    ops = werner_operators(d)
-    direct = (
-        ops.x + ops.v @ ops.x @ ops.v + ops.x @ ops.v + ops.v @ ops.x
-    ) / (2 * d * (d + 1))
+    x, v = werner_reference(d)
+    direct = (x + v @ x @ v + x @ v + v @ x) / (2 * d * (d + 1))
     assert np.linalg.norm(ext - direct) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [5, 7, 10])
+def test_boundary_extension_verifies_in_any_dimension(d):
+    # no dimension cap: up to d = 10, the largest side MAX_SIDE admits
+    ext = boundary_isotropic_extension(d)
+    res = verify_certificate(ext, isotropic(d, isotropic_boundary_fidelity(d)))
+    assert res.psd <= 1e-10 and res.swap <= 1e-12 and res.pt <= 1e-12
+    with pytest.raises(ValueError, match="at least 2"):
+        boundary_isotropic_extension(1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -152,6 +152,44 @@ def test_empty_support_ends_with_witness(target):
     assert cert.candidate.shape == (geo.side, geo.side) and not cert.candidate.any()
 
 
+def _two_qubit_targets(rng):
+    for i in range(200):
+        kind = i % 4
+        if kind == 0:
+            yield random_density(rng, (2, 2))
+        elif kind == 1:
+            yield random_density(rng, (2, 2), rank=3)
+        elif kind == 2:
+            v = random_entangled_pure(rng, (2, 2)).matrix
+            p = rng.uniform(0.0, 1.0)
+            yield DensityMatrix(p * v + (1 - p) * np.eye(4) / 4, (2, 2))
+        else:
+            yield random_separable(rng, (2, 2))
+
+
+def test_two_qubit_closed_form_oracle():
+    # Chen, Ji, Kribs, Lutkenhaus and Zeng, PRA 90, 032318 (2014): a two-qubit
+    # rho has a symmetric extension on B iff
+    # Tr rho_B^2 - Tr rho^2 + 4 sqrt(det rho) >= 0
+    rng = np.random.default_rng(314)
+    decided = 0
+    for target in _two_qubit_targets(rng):
+        rho = target.matrix
+        rho_b = linalg.partial_trace(rho, (2, 2), keep={1})
+        det = max(float(np.linalg.det(rho).real), 0.0)
+        crit = float(np.trace(rho_b @ rho_b).real - np.trace(rho @ rho).real) + 4 * det**0.5
+        cert = solve(target)
+        if abs(crit) > 1e-6:
+            decided += 1
+            assert (cert.verdict == FEASIBLE) == (crit >= 0), (crit, cert.verdict)
+        if cert.verdict == FEASIBLE:
+            assert verify_certificate(cert.candidate, target).combined <= ExtensionProblem.tol
+        else:
+            assert cert.verdict == INFEASIBLE_NUMERICAL
+            assert verify_witness(cert.witness, target).certified
+    assert decided >= 180
+
+
 def test_product_state_feasible():
     rng = np.random.default_rng(1)
     a, b = random_density(rng, (2,)), random_density(rng, (2,))
@@ -393,6 +431,10 @@ def test_max_extendible_fidelity_range_check():
         max_extendible_fidelity(11)  # side 11**3 = 1331 exceeds MAX_SIDE
     with pytest.raises(ValueError, match="at least 2"):
         max_extendible_fidelity(1)
+    # the bisection cannot shrink below one ulp: tol <= 0 would never return
+    for bad in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            max_extendible_fidelity(2, bad)
 
 
 def test_bob_side_map_closure():

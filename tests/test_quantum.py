@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(np.diag([1.5, -0.5]), (2,))
     with pytest.raises(ValueError, match="dims"):
         DensityMatrix(np.eye(4) / 4, (2, 3))
+    with pytest.raises(ValueError, match="NaN"):
+        DensityMatrix(np.diag([0.5, np.nan]), (2,))
 
 
 def test_density_matrix_is_readonly():
@@ -49,6 +52,12 @@ def test_density_matrix_is_readonly():
 def test_kraus_channel_completeness_enforced():
     with pytest.raises(ValueError, match="trace-preserving"):
         KrausChannel(2, 2, (0.5 * np.eye(2),))
+    # NaN compares false with any tolerance: rejected before any arithmetic
+    for bad in (np.nan, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                KrausChannel(2, 2, (np.diag([1.0, bad]),))
 
 
 def test_choi_identity_channel():
