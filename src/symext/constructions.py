@@ -6,6 +6,7 @@ first, i.e. on (B', A, B); builders here permute it to the canonical
 A (x) B (x) B' order where the exchange symmetry acts on factors 1 and 2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ __all__ = [
 
 
 def _ket(dims, *indices) -> np.ndarray:
-    v = np.zeros(linalg.dims_product(dims), dtype=complex)
+    v = np.zeros(math.prod(dims), dtype=complex)
     stride = 1
     pos = 0
     for d, i in zip(reversed(dims), reversed(indices)):

@@ -5,22 +5,21 @@ is carried separately as a tuple of subsystem dimensions whose product must
 equal the matrix side.
 """
 
+import math
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
 
 __all__ = [
-    "dims_product",
     "hermitianize",
     "partial_trace",
     "partial_transpose",
     "swap_operator",
     "permute_systems",
-    "hermitian_eig",
     "psd_project",
     "hs_norm",
     "hs_inner",
-    "matrix_log_floor",
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -39,33 +38,26 @@ def _check_dims(m: np.ndarray, dims) -> tuple:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != m.shape[0]:
+    if math.prod(dims) != m.shape[0]:
         raise ValueError(
-            f"product of dims {dims} is {int(np.prod(dims))}, "
+            f"product of dims {dims} is {math.prod(dims)}, "
             f"but matrix side is {m.shape[0]}"
         )
     return dims
 
 
-def dims_product(dims) -> int:
-    p = 1
-    for d in dims:
-        p *= int(d)
-    return p
-
-
-def hermitianize(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return (m + m†)/2; reject inputs whose skew part exceeds tol.
+def hermitianize(m) -> np.ndarray:
+    """Return (m + m†)/2; reject inputs whose skew part exceeds HERMITICITY_TOL.
 
     The tolerance is relative to max(1, ||m||) so that checks stay meaningful
     for matrices far from unit scale.
     """
     m = _as_square(m)
     skew = (m - m.conj().T) / 2
-    if hs_norm(skew) > tol * max(1.0, hs_norm(m)):
+    if hs_norm(skew) > HERMITICITY_TOL * max(1.0, hs_norm(m)):
         raise ValueError(
             f"matrix is not Hermitian: skew norm {hs_norm(skew):.3e} "
-            f"exceeds tolerance {tol:.1e}"
+            f"exceeds tolerance {HERMITICITY_TOL:.1e}"
         )
     return (m + m.conj().T) / 2
 
@@ -93,7 +85,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
             labels[n + j] = labels[j]
     out = [labels[k] for k in keep] + [labels[n + k] for k in keep]
     spec = "".join(labels) + "->" + "".join(out)
-    side = dims_product(dims[k] for k in keep)
+    side = math.prod(dims[k] for k in keep)
     return np.einsum(spec, m.reshape(dims + dims)).reshape(side, side)
 
 
@@ -122,7 +114,7 @@ def swap_operator(dims, i: int, j: int) -> np.ndarray:
         raise ValueError(
             f"cannot swap factors of unequal dimension {dims[i]} and {dims[j]}"
         )
-    side = dims_product(dims)
+    side = math.prod(dims)
     grid = np.arange(side).reshape(dims)
     rows = np.swapaxes(grid, i, j).reshape(-1)
     v = np.zeros((side, side), dtype=complex)
@@ -143,21 +135,9 @@ def permute_systems(m, dims, perm) -> np.ndarray:
     return t.transpose(axes).reshape(m.shape)
 
 
-def hermitian_eig(m, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary of column eigenvectors) with
-    m = U diag(w) U†. Inputs are hermitized first; skew parts beyond tol
-    are an error.
-    """
-    m = hermitianize(m, tol=tol)
-    w, u = np.linalg.eigh(m)
-    return w, u
-
-
 def psd_project(m) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix to a Hermitian input."""
-    w, u = hermitian_eig(m)
+    w, u = np.linalg.eigh(hermitianize(m))
     wc = np.clip(w, 0.0, None)
     out = (u * wc) @ u.conj().T
     return (out + out.conj().T) / 2
@@ -172,17 +152,3 @@ def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product Tr(a† b)."""
     return complex(np.vdot(np.asarray(a), np.asarray(b)))
 
-
-def matrix_log_floor(m, floor: float) -> np.ndarray:
-    """Base-2 matrix logarithm with eigenvalues clamped below at ``floor``.
-
-    The input must be Hermitian PSD; eigenvalues below -1e-9 are an error.
-    """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    w, u = hermitian_eig(m)
-    if w.min() < -1e-9:
-        raise ValueError(f"matrix has negative eigenvalue {w.min():.3e}")
-    wc = np.maximum(w, floor)
-    out = (u * np.log2(wc)) @ u.conj().T
-    return (out + out.conj().T) / 2

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .extend import FEASIBLE, ExtensionProblem, _Geometry, _lbfgs, solve_extension
+from .extend import FEASIBLE, MAX_SIDE, ExtensionProblem, _Geometry, _lbfgs, solve_extension
 from .quantum import (
+    LOG_FLOOR,
     DensityMatrix,
     coherent_information,
     embed_square,
@@ -27,7 +28,6 @@ from .quantum import (
 )
 
 LN2 = math.log(2.0)
-SIGMA_FLOOR = 1e-12
 
 __all__ = [
     "normalization_factor",
@@ -73,7 +73,7 @@ def _grad_and_value(rho: np.ndarray, sigma: np.ndarray, c_rho: float):
     the matrix logarithm derivative evaluated in sigma's eigenbasis.
     """
     w, u = np.linalg.eigh(sigma)
-    wf = np.maximum(w, SIGMA_FLOOR)
+    wf = np.maximum(w, LOG_FLOOR)
     rp = u.conj().T @ rho @ u
     value = c_rho - float(np.real(np.sum(np.diagonal(rp) * np.log2(wf))))
 
@@ -87,15 +87,27 @@ def _grad_and_value(rho: np.ndarray, sigma: np.ndarray, c_rho: float):
     return value, (g + g.conj().T) / 2
 
 
+def _padded_dim(rho: DensityMatrix) -> int:
+    """d = max(d_A, d_B) of the d x d padding the distance runs on."""
+    d = max(rho.dims)
+    if d**3 > MAX_SIDE:
+        raise ValueError(
+            f"the {d} x {d} embedding needs an extension of side {d**3}, "
+            f"above the supported maximum {MAX_SIDE}"
+        )
+    return d
+
+
 def distance_to_extendible(
     rho: DensityMatrix, max_iter: int = 2000, gap_tol: float = 1e-5,
     extendible: bool | None = None,
 ) -> ParamResult:
     """Certified upper estimate of the normalized distance to extendibility.
 
-    The state is zero-padded to d x d first. The extension solver's L-BFGS
-    driver ``_lbfgs`` minimizes f(V) = R(rho || sigma(V)), sigma(V) =
-    Tr_B' X(V) under a tiny mixing floor; its gradient is
+    The state is zero-padded to d x d first, d = max(d_A, d_B); an
+    extension side d**3 above MAX_SIDE is a ValueError. The extension
+    solver's L-BFGS driver ``_lbfgs`` minimizes f(V) = R(rho || sigma(V)),
+    sigma(V) = Tr_B' X(V) under a tiny mixing floor; its gradient is
     (2/t)(L - <L, X> I) V, with t = ||V||_F^2 and L the lift of the
     gradient G in sigma. Every sigma(V) is extendible, so at each accepted
     point the closed-form LMO s gives the lower bound value - <G, sigma - s>
@@ -116,21 +128,21 @@ def distance_to_extendible(
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1 and gap_tol > 0):
         raise ValueError(f"max_iter must be a positive integer and gap_tol positive, "
                          f"got {max_iter}, {gap_tol}")
+    d = _padded_dim(rho)
     embedded = embed_square(rho)
-    d = embedded.dims[0]
     scale = normalization_factor(d)
     rho_t = np.asarray(embedded.matrix)
     c_rho = -von_neumann_entropy(embedded)
 
     geo = _Geometry((d, d))
-    floor = SIGMA_FLOOR * np.eye(d * d) / (d * d)
+    floor = LOG_FLOOR * np.eye(d * d) / (d * d)
     if extendible is None:
         extendible = solve_extension(ExtensionProblem(target=embedded)).verdict == FEASIBLE
 
     def evaluate(v):
         t = linalg.hs_norm(v) ** 2
         x = geo.swap_avg(v @ v.conj().T) / t
-        sig = (geo.ptrace_last(x) + floor) / (1.0 + SIGMA_FLOOR)
+        sig = (geo.ptrace_last(x) + floor) / (1.0 + LOG_FLOOR)
         sig = (sig + sig.conj().T) / 2
         val, g = _grad_and_value(rho_t, sig, c_rho)
         lifted = geo.lift(g)
@@ -144,7 +156,7 @@ def distance_to_extendible(
 
     lower, iterations, stop_reason = -math.inf, 0, "budget"
     if extendible:
-        sigma, iterations = (rho_t + floor) / (1.0 + SIGMA_FLOOR), 1
+        sigma, iterations = (rho_t + floor) / (1.0 + LOG_FLOOR), 1
         if gap_closed(*_grad_and_value(rho_t, sigma, c_rho), sigma):
             stop_reason = "gap"
     if stop_reason == "budget":
@@ -201,6 +213,7 @@ def bound_report(
     gap_tol: float = 1e-5,
 ) -> BoundReport:
     """Extendibility verdict, hashing bound and distance parameter for one state."""
+    _padded_dim(rho)  # the size check, before the extension solve
     cert = solve_extension(ExtensionProblem(target=rho, tol=tol, max_iter=max_iter))
     certified = cert.verdict == FEASIBLE
     par = distance_to_extendible(

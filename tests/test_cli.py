@@ -263,6 +263,16 @@ def test_cmd_param_json(tmp_path, capsys):
     assert payload["fw_stop"] == "gap"
 
 
+def test_cmd_param_embedded_side_is_input_error(tmp_path, capsys):
+    # the distance runs on the 11 x 11 zero-padding, side 1331 > MAX_SIDE
+    infile = tmp_path / "state.json"
+    write_json(infile, {"dims": [11, 2], "matrix": encode_matrix(np.eye(22) / 22)})
+    assert main(["param", str(infile), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and "side 1331" in captured.err
+    assert captured.out == ""
+
+
 def test_cmd_param_prints_certified_line(tmp_path, capsys):
     infile = tmp_path / "state.json"
     write_json(infile, state_to_payload(example_state(0.45)))

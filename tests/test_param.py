@@ -107,6 +107,24 @@ def test_non_bipartite_rejected():
         distance_to_extendible(random_density(rng, (2, 2, 2)))
 
 
+@pytest.mark.parametrize("extendible", [None, True, False])
+def test_embedded_side_above_max_side_rejected(extendible):
+    # 11 x 2 passes d_A d_B^2 = 44, but the 11 x 11 embedding needs side 1331;
+    # the check comes before any solve, whatever the caller's verdict
+    rho = random_density(np.random.default_rng(59), (11, 2))
+    with pytest.raises(ValueError, match="side 1331"):
+        distance_to_extendible(rho, extendible=extendible)
+
+
+def test_bound_report_rejects_embedded_side_before_solving(monkeypatch):
+    def no_solve(problem):
+        raise AssertionError("solved before the size check")
+
+    monkeypatch.setattr(param, "solve_extension", no_solve)
+    with pytest.raises(ValueError, match="side 1331"):
+        bound_report(random_density(np.random.default_rng(59), (11, 2)))
+
+
 @pytest.mark.parametrize("bad", [0.0, float("nan"), 3.5])
 def test_budget_and_gap_tol_validated(bad):
     # max_iter must be a positive integer, gap_tol only positive

@@ -1,0 +1,111 @@
+"""Seeded property tests: the relative entropy against a dense reference, and
+the identities of the extension geometry shared by the solver and the
+Frank-Wolfe oracle."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symext import linalg
+from symext.extend import _Geometry
+from symext.quantum import DensityMatrix, relative_entropy
+from symext.sampling import random_density, random_unitary
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+sides = st.integers(2, 6)
+shapes = st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)])
+
+
+def dense_reference(rho, sigma):
+    """Tr rho log2 rho - Tr rho U log2 max(w, 1e-12) U^dag, (w, U) = eigh(sigma)."""
+    wr = np.clip(np.linalg.eigvalsh(rho), 1e-300, None)
+    w, u = np.linalg.eigh(sigma)
+    log_sigma = (u * np.log2(np.maximum(w, 1e-12))) @ u.conj().T
+    return float(np.sum(wr * np.log2(wr))) - float(np.trace(rho @ log_sigma).real)
+
+
+def on_support(rng, u, r):
+    """A random state supported on the span of the first r columns of u."""
+    block = random_density(rng, (r,)).matrix
+    m = u[:, :r] @ block @ u[:, :r].conj().T
+    return DensityMatrix(m, (u.shape[0],))
+
+
+def rank_deficient(rng, n, r):
+    """A rank-r state with a random eigenbasis, and that basis."""
+    u = random_unitary(rng, n)
+    probs = rng.dirichlet(np.ones(r))
+    w = np.concatenate([probs, np.zeros(n - r)])
+    return DensityMatrix((u * w) @ u.conj().T, (n,)), u
+
+
+@PROPERTY
+@given(seeds, sides)
+def test_relative_entropy_full_rank_sigma(seed, n):
+    rng = np.random.default_rng(seed)
+    rho, sigma = random_density(rng, (n,)), random_density(rng, (n,))
+    val = relative_entropy(rho, sigma)
+    assert abs(val - dense_reference(rho.matrix, sigma.matrix)) <= 1e-12
+    assert val >= -1e-12
+    assert abs(relative_entropy(rho, rho)) <= 1e-12
+
+
+@PROPERTY
+@given(seeds, sides, st.data())
+def test_relative_entropy_rank_deficient_sigma(seed, n, data):
+    r = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    sigma, u = rank_deficient(rng, n, r)
+    rho = on_support(rng, u, r)
+    val = relative_entropy(rho, sigma)
+    assert math.isfinite(val)
+    assert abs(val - dense_reference(rho.matrix, sigma.matrix)) <= 1e-12
+    assert val >= -1e-12
+    assert abs(relative_entropy(sigma, sigma)) <= 1e-12
+
+
+@PROPERTY
+@given(seeds, sides, st.data(), st.floats(1e-6, 1.0))
+def test_relative_entropy_kernel_mass_is_infinite(seed, n, data, t):
+    r = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    sigma, u = rank_deficient(rng, n, r)
+    inside = on_support(rng, u, r).matrix
+    kernel = np.outer(u[:, r], u[:, r].conj())
+    rho = DensityMatrix((1.0 - t) * inside + t * kernel, (n,))
+    assert relative_entropy(rho, sigma) == math.inf
+
+
+def random_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2
+
+
+@PROPERTY
+@given(seeds, shapes)
+def test_geometry_lift_is_adjoint_of_reduction(seed, dims):
+    # Re<lift(y), X> = Re<y, Tr_B' X> for swap-invariant X
+    rng = np.random.default_rng(seed)
+    geo = _Geometry(dims)
+    y = random_hermitian(rng, geo.d_ab)
+    x = geo.swap_avg(random_hermitian(rng, geo.side))
+    lhs = linalg.hs_inner(geo.lift(y), x).real
+    rhs = linalg.hs_inner(y, geo.ptrace_last(x)).real
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@PROPERTY
+@given(seeds, shapes)
+def test_geometry_swap_avg_idempotent_and_reduction_of_kron(seed, dims):
+    rng = np.random.default_rng(seed)
+    geo = _Geometry(dims)
+    m = random_hermitian(rng, geo.side)
+    once = geo.swap_avg(m)
+    assert np.allclose(geo.swap_avg(once), once, rtol=0.0, atol=1e-14)
+    # V m V^dag, not V m: the average of a Hermitian matrix stays Hermitian
+    assert np.allclose(once, once.conj().T, rtol=0.0, atol=1e-14)
+    y = random_hermitian(rng, geo.d_ab)
+    assert np.allclose(geo.ptrace_last(geo.kron_eye(y)), geo.d_b * y, rtol=0.0, atol=1e-12)

@@ -195,6 +195,22 @@ def test_relative_entropy_cases():
         relative_entropy(ket0, rho)
 
 
+def test_relative_entropy_rank_deficient_sigma():
+    # rho inside the support of a rank-2 sigma on C^3: finite, and equal to
+    # the two-level value; the floored kernel eigenvalue adds nothing
+    u = random_unitary(np.random.default_rng(28), 3)
+    sigma = DensityMatrix((u * [0.5, 0.5, 0.0]) @ u.conj().T, (3,))
+    rho = DensityMatrix((u * [0.25, 0.75, 0.0]) @ u.conj().T, (3,))
+    expected = 0.25 * math.log2(0.5) + 0.75 * math.log2(1.5)
+    assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-12)
+    # kernel mass below the support tolerance is charged at the log floor
+    t = 1e-10
+    rho = DensityMatrix(np.diag([1.0 - t, t]), (2,))
+    sigma = DensityMatrix(np.diag([1.0, 0.0]), (2,))
+    expected = (1 - t) * math.log2(1 - t) + t * math.log2(t) - t * math.log2(1e-12)
+    assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-15)
+
+
 def test_relative_entropy_nonnegative_zero_iff_equal():
     rng = np.random.default_rng(25)
     for _ in range(5):
@@ -242,6 +258,9 @@ def test_negativity_cases():
     pplus = DensityMatrix(max_entangled_projector(2), (2, 2))
     assert negativity(pplus) == pytest.approx(0.5, abs=1e-12)
     assert negativity(example_state(0.5)) > 0.0
+    # a PPT state has no negative eigenvalue; the empty sum is +0.0, not -0.0
+    for ppt in (DensityMatrix(np.eye(4) / 4, (2, 2)), isotropic(2, 0.5)):
+        assert math.copysign(1.0, negativity(ppt)) == 1.0
 
 
 def test_embed_square():
