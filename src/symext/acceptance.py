@@ -106,6 +106,29 @@ def _boundary_extension_oracle(d):
     return f"psd={res.psd:.1e} swap={res.swap:.1e} pt={res.pt:.1e}", ok
 
 
+def _isotropic_bracket(d):
+    """Certified solver verdicts 0.01 either side of F_b = (d+1)/(2d), the
+    2-extendible isotropic boundary (Johnson and Viola, PRA 88, 032323,
+    2013): below, a Feasible extension that verify_certificate re-derives
+    within tol; above, a witness that verify_witness certifies."""
+    f_b = isotropic_boundary_fidelity(d)
+    parts, ok = [], True
+    for side, f in (("lo", f_b - 0.01), ("hi", f_b + 0.01)):
+        target = isotropic(d, f)
+        start = time.perf_counter()
+        cert = solve_extension(ExtensionProblem(target=target))
+        took = time.perf_counter() - start
+        if side == "lo":
+            res = verify_certificate(cert.candidate, target).combined
+            ok &= cert.verdict == FEASIBLE and res <= ExtensionProblem.tol
+            proof = f"res={res:.1e}"
+        else:
+            ok &= cert.verdict == INFEASIBLE_NUMERICAL and _witnessed(cert, target)
+            proof = f"margin={cert.witness_margin:.2e}" if cert.witness is not None else "none"
+        parts.append(f"{side}: {cert.verdict} {proof} evals={cert.iterations} {took:.2f}s")
+    return "; ".join(parts), ok
+
+
 def _headline_zero_capacity():
     report = bound_report(example_state(0.45))
     ok = (
@@ -239,6 +262,10 @@ def _registry(seed):
         *((f"boundary-extension-d{d}", "psd/swap/pt vs isotropic at (d+1)/(2d)",
            f"1e-10/1e-12/{1e-12 / d:.1e}", lambda d=d: _boundary_extension_oracle(d))
           for d in (2, 3, 4, 6, 8)),
+        *((f"isotropic-bracket-d{d}",
+           "lo=F_b-0.01 Feasible+certified, hi=F_b+0.01 witnessed; budget 2 s",
+           f"{ExtensionProblem.tol:.0e}", lambda d=d: _isotropic_bracket(d))
+          for d in (6, 8)),
         ("headline-zero-capacity", "Feasible, neg>0.05, hashing<=0", "exact",
          _headline_zero_capacity),
         ("normalization-anchor-d2", "1.000000, gap<=1e-3, stop=gap", "1e-3",

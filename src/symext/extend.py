@@ -43,8 +43,12 @@ X(y) itself is formed only at an exit:
     lambda_min(lift W) onto the face. A witness ends the solve only after
     ``verify_witness`` confirms its margin beyond a floating-point error bound.
 
-A target rho_A (x) I/d_B is caught before the dual starts: the start point
-rho (x) I/d_B is then already an extension.
+The dual starts at y0 = (2 rho - rho_A (x) I_B/d_B) / d_B, where
+Tr_B' lift(y0) = rho exactly: lift(y0) is the least-norm swap-invariant
+matrix with marginal rho. No target is special-cased; for rho_A (x) I/d_B,
+lift(y0) = rho_A (x) I (x) I/d_B^2 is PSD and the first evaluation is
+Feasible. A target with no imaginary part is solved in real arithmetic: y,
+the factor, the gradient, the L-BFGS memory and the candidate are float64.
 """
 
 from collections import deque
@@ -85,6 +89,12 @@ __all__ = [
 ]
 
 
+def _require_count(name, value, least):
+    """Reject a non-integer count or dimension (a float is not rounded)."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ExtensionProblem:
     target: DensityMatrix
@@ -96,8 +106,7 @@ class ExtensionProblem:
             raise ValueError(f"target must be bipartite, got dims {self.target.dims}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
-            raise ValueError("max_iter must be a positive integer")
+        _require_count("max_iter", self.max_iter, 1)
 
 
 @dataclass(eq=False)
@@ -170,9 +179,10 @@ class _Geometry:
         self.side = self.d_ab * d_b
         self.shape6 = (d_a, d_b, d_b) * 2
         self.eye_b = np.eye(d_b)
-        self.rho = None if rho is None else np.asarray(rho)
-        self.basis = self.ker = None
+        self.rho = self.basis = self.ker = None
         if rho is not None:
+            rho = np.asarray(rho)
+            self.rho = rho if rho.imag.any() else rho.real
             self._support_basis(tol)
 
     def _support_basis(self, tol: float):
@@ -291,10 +301,10 @@ def _lbfgs(evaluate, x0, max_iter):
 def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     """Search for a symmetric extension of the target state.
 
-    The start point target (x) I/d_B is checked first; it is already an
-    extension when the target is rho_A (x) I/d_B. Otherwise L-BFGS with
-    Armijo backtracking minimizes the dual theta from y = 0 (see the module
-    docstring); the first step goes to y = target. Every dual evaluation,
+    L-BFGS with Armijo backtracking minimizes the dual theta from
+    y0 = (2 target - target_A (x) I/d_B) / d_B, whose lift is the least-norm
+    swap-invariant matrix with marginal target (see the module docstring);
+    real for a real target, complex otherwise. Every dual evaluation,
     line-search trials included, counts against ``max_iter`` and is
     checked for both exits: a gradient norm at or below tol whose
     candidate X(y) re-measures within tol ends the solve as Feasible, and a
@@ -334,11 +344,8 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
                 return w_op, check.margin
         return None
 
-    x = np.kron(rho, geo.eye_b / d_b)
-    if max(residuals := geo.residual_triple(x)) <= tol:
-        return finish(x, FEASIBLE, 0, "tol", residuals=residuals)
-
-    y0 = np.zeros_like(rho, dtype=complex)
+    rho_a = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
+    y0 = (2 * rho - geo.kron_eye(rho_a) / d_b) / d_b
     for k, y, accepted, value, grad, (f, free_margin) in _lbfgs(geo.dual, y0, problem.max_iter):
         grad_norm = linalg.hs_norm(grad)
         if grad_norm <= tol and max(residuals := geo.residual_triple(x := candidate(f))) <= tol:
@@ -356,7 +363,7 @@ def verify_certificate(x, target: DensityMatrix) -> CertificateResiduals:
     """Recompute the three residuals of a candidate extension from scratch.
 
     Independent of the solver: the swap residual goes through an explicit
-    permutation matrix and the marginal through block summation, so this
+    index permutation and the marginal through block summation, so this
     path also validates externally supplied extensions.
     """
     x = np.asarray(x, dtype=complex)
@@ -368,8 +375,8 @@ def verify_certificate(x, target: DensityMatrix) -> CertificateResiduals:
     wmin = float(np.linalg.eigvalsh((x + x.conj().T) / 2).min())
     psd = max(0.0, -wmin)
 
-    v = linalg.swap_operator((d_a, d_b, d_b), 1, 2)
-    swap = float(np.linalg.norm(x - v @ x @ v))
+    p = linalg.swap_permutation((d_a, d_b, d_b), 1, 2)
+    swap = float(np.linalg.norm(x - x[np.ix_(p, p)]))
 
     t = x.reshape(d_a * d_b, d_b, d_a * d_b, d_b)
     reduced = sum(t[:, k, :, k] for k in range(d_b))
@@ -385,12 +392,12 @@ def verify_witness(w, target: DensityMatrix) -> WitnessCheck:
     lambda_min(M), M = sym(W (x) I_B'), so a margin Tr(W rho) - c below
     -error_bound proves the target rho has no symmetric extension. Only
     the Hermitian part of w is used. Independent of the solver: the lift
-    goes through np.kron and an explicit permutation matrix.
+    goes through np.kron and an explicit index permutation.
 
     error_bound bounds the rounding error of the computed margin, with
     eps the machine epsilon and n = d_A d_B:
-      * forming M: the Kronecker product with I and the permutation
-        products are exact, and the average rounds each entry once, a
+      * forming M: the Kronecker product with I and the permutation are
+        exact, and the average rounds each entry once, a
         perturbation of at most eps ||M||_F (M stays exactly Hermitian);
       * eigvalsh is backward stable, so by Weyl's inequality its smallest
         eigenvalue is off by at most p(side) eps ||M||_2, p a modestly
@@ -410,8 +417,8 @@ def verify_witness(w, target: DensityMatrix) -> WitnessCheck:
     rho = target.matrix
 
     lifted = np.kron(w, np.eye(d_b))
-    v = linalg.swap_operator((d_a, d_b, d_b), 1, 2)
-    m = (lifted + v @ lifted @ v) / 2
+    p = linalg.swap_permutation((d_a, d_b, d_b), 1, 2)
+    m = (lifted + lifted[np.ix_(p, p)]) / 2
     c = float(np.linalg.eigvalsh(m)[0])
     value = float(np.real(np.sum(w * rho.T)))
 
@@ -460,9 +467,7 @@ def max_extendible_fidelity(d: int, tol: float = 5e-3) -> float:
     question for zero-capacity states. Converges to (d+1)/(2d). The
     extension side d**3 must not exceed MAX_SIDE, so d <= 10.
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _require_count("dimension", d, 2)
     if not tol > 0:  # at one ulp the bisection stops shrinking: tol <= 0 never ends
         raise ValueError(f"tol must be positive, got {tol}")
     lo, hi = 1.0 / d, 1.0
@@ -525,14 +530,14 @@ def run_isotropic_sweep(
     fidelity and the smallest InfeasibleNumerical fidelity above it; no
     interpolation beyond the grid resolution is attempted.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    _require_count("dimension", d, 2)
+    _require_count("steps", steps, 1)
     if not 0.0 <= f_min <= f_max <= 1.0:
         raise ValueError(f"bad fidelity range [{f_min}, {f_max}]")
     grid = [f_min] if steps == 1 else list(np.linspace(f_min, f_max, steps))
     rows = []
     for f in grid:
-        problem = ExtensionProblem(isotropic(int(d), float(f)), tol=tol, max_iter=max_iter)
+        problem = ExtensionProblem(isotropic(d, float(f)), tol=tol, max_iter=max_iter)
         cert = solve_extension(problem)
         rows.append(SweepRow(float(f), cert.verdict, cert.psd_residual, cert.swap_residual,
                              cert.pt_residual, cert.iterations))

@@ -16,6 +16,7 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "swap_operator",
+    "swap_permutation",
     "permute_systems",
     "psd_project",
     "hs_norm",
@@ -105,6 +106,15 @@ def partial_transpose(m, dims, which: int) -> np.ndarray:
 
 def swap_operator(dims, i: int, j: int) -> np.ndarray:
     """Permutation matrix exchanging tensor factors i and j."""
+    rows = swap_permutation(dims, i, j)
+    v = np.zeros((rows.size, rows.size), dtype=complex)
+    v[rows, np.arange(rows.size)] = 1.0
+    return v
+
+
+def swap_permutation(dims, i: int, j: int) -> np.ndarray:
+    """Index permutation p of the swap V of factors i and j: V m V equals
+    m[np.ix_(p, p)], with no arithmetic."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     i, j = int(i), int(j)
@@ -114,12 +124,8 @@ def swap_operator(dims, i: int, j: int) -> np.ndarray:
         raise ValueError(
             f"cannot swap factors of unequal dimension {dims[i]} and {dims[j]}"
         )
-    side = math.prod(dims)
-    grid = np.arange(side).reshape(dims)
-    rows = np.swapaxes(grid, i, j).reshape(-1)
-    v = np.zeros((side, side), dtype=complex)
-    v[rows, np.arange(side)] = 1.0
-    return v
+    grid = np.arange(math.prod(dims)).reshape(dims)
+    return np.swapaxes(grid, i, j).reshape(-1)
 
 
 def permute_systems(m, dims, perm) -> np.ndarray:

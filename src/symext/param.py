@@ -131,7 +131,7 @@ def distance_to_extendible(
     d = _padded_dim(rho)
     embedded = embed_square(rho)
     scale = normalization_factor(d)
-    rho_t = np.asarray(embedded.matrix)
+    rho_t = embedded.matrix if embedded.matrix.imag.any() else embedded.matrix.real
     c_rho = -von_neumann_entropy(embedded)
 
     geo = _Geometry((d, d))
@@ -160,7 +160,7 @@ def distance_to_extendible(
         if gap_closed(*_grad_and_value(rho_t, sigma, c_rho), sigma):
             stop_reason = "gap"
     if stop_reason == "budget":
-        done, v0 = iterations, np.eye(geo.side, dtype=complex) / math.sqrt(geo.side)
+        done, v0 = iterations, np.eye(geo.side, dtype=rho_t.dtype) / math.sqrt(geo.side)
         for k, _, accepted, value, _, (sig, g) in _lbfgs(evaluate, v0, max_iter - done):
             iterations = done + k
             if accepted:

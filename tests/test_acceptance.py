@@ -69,3 +69,9 @@ def test_criterion_8b_two_copy_isotropic():
     # value too. What holds is subadditivity: products of extendible states
     # are extendible, so two <= N(4)/N(2) * single. See README.
     assert_all(run_checks(only="two-copy-isotropic", seed=SEED))
+
+
+def test_criterion_9_isotropic_brackets():
+    # d = 6 and 8: lo = F_b - 0.01 Feasible with a certificate, hi = F_b + 0.01
+    # witnessed, both verified independently
+    assert_all(run_checks(only="isotropic-bracket", seed=SEED))

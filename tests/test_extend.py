@@ -32,7 +32,12 @@ from symext.quantum import (
     depolarizing_channel,
     max_entangled_projector,
 )
-from symext.sampling import random_density, random_entangled_pure, random_separable
+from symext.sampling import (
+    random_density,
+    random_entangled_pure,
+    random_separable,
+    random_unitary,
+)
 
 
 def solve(dm, **kw):
@@ -196,11 +201,12 @@ def test_product_state_feasible():
     cert = solve(DensityMatrix(np.kron(a.matrix, b.matrix), (2, 2)))
     assert cert.verdict == FEASIBLE
 
-    # for rho_A (x) I/d_B the start point target (x) I/d_B is an extension
+    # for rho_A (x) I/d_B the lift of the start point y0 is
+    # rho_A (x) I (x) I/d_B^2, which is PSD: evaluation 1 is Feasible
     target = DensityMatrix(np.kron(a.matrix, np.eye(3) / 3), (2, 3))
     cert = solve(target)
     assert cert.verdict == FEASIBLE
-    assert cert.iterations == 0 and cert.stop_reason == "tol"
+    assert cert.iterations == 1 and cert.stop_reason == "tol"
     assert verify_certificate(cert.candidate, target).combined <= 1e-7
 
 
@@ -222,14 +228,62 @@ def test_witness_certifies_isotropic_above_boundary(d):
     cert = solve(target)
     assert cert.verdict == INFEASIBLE_NUMERICAL
     assert cert.stop_reason == "witness"
-    # evaluation 1 is y = 0, evaluation 2 the first step y = target
-    assert cert.iterations <= 2
+    # evaluation 1 is the start point y0, whose lift has marginal target
+    assert cert.iterations == 1
     check = verify_witness(cert.witness, target)
     assert check.certified
     assert cert.witness_margin == check.margin
     # an early witness exit reports finite residuals
     assert np.isfinite(cert.combined_residual)
     assert cert.combined_residual >= 10 * 1e-7
+
+
+@pytest.mark.parametrize("offset", [-0.01, 0.01], ids=["inside", "outside"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_real_target_matches_rotated_complex_target(d, offset):
+    # The dual is covariant under local unitaries, so the real isotropic
+    # target and its complex rotation by U_A (x) U_B take the same path: one
+    # solve runs in float64, the other in complex128.
+    target = isotropic(d, isotropic_boundary_fidelity(d) + offset)
+    rng = np.random.default_rng(60 + d)
+    u = np.kron(random_unitary(rng, d), random_unitary(rng, d))
+    rotated = DensityMatrix(u @ target.matrix @ u.conj().T, (d, d))
+    real, cplx = solve(target), solve(rotated)
+    assert real.candidate.dtype == np.float64 and cplx.candidate.dtype == np.complex128
+    assert real.verdict == cplx.verdict and real.iterations == cplx.iterations
+    for cert, state in ((real, target), (cplx, rotated)):
+        if offset < 0:
+            assert cert.verdict == FEASIBLE
+            assert verify_certificate(cert.candidate, state).combined <= ExtensionProblem.tol
+        else:
+            assert cert.verdict == INFEASIBLE_NUMERICAL
+            assert verify_witness(cert.witness, state).certified
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
+def test_verifiers_swap_by_index_permutation(dims):
+    # indexing by the permutation is bit-identical to conjugating by the
+    # dense swap matrix, so both verifiers return the reference's numbers
+    d_a, d_b = dims
+    rng = np.random.default_rng(29)
+    side = d_a * d_b * d_b
+    v = linalg.swap_operator((d_a, d_b, d_b), 1, 2)
+    e = np.eye(d_b)
+    flip = sum(np.kron(np.outer(e[j], e[k]), np.outer(e[k], e[j]))
+               for j in range(d_b) for k in range(d_b))
+    assert np.array_equal(v, np.kron(np.eye(d_a), flip))
+    p = linalg.swap_permutation((d_a, d_b, d_b), 1, 2)
+    m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    assert np.array_equal(m[np.ix_(p, p)], v @ m @ v)
+
+    target = random_density(rng, dims)
+    x = m @ m.conj().T
+    assert verify_certificate(x, target).swap == float(np.linalg.norm(x - v @ x @ v))
+    w = _random_hermitian(rng, d_a * d_b)
+    lifted = np.kron(w, np.eye(d_b))
+    c = float(np.linalg.eigvalsh((lifted + v @ lifted @ v) / 2)[0])
+    value = float(np.real(np.sum(w * target.matrix.T)))
+    assert verify_witness(w, target).margin == value - c
 
 
 @pytest.mark.parametrize(
@@ -431,6 +485,9 @@ def test_max_extendible_fidelity_range_check():
         max_extendible_fidelity(11)  # side 11**3 = 1331 exceeds MAX_SIDE
     with pytest.raises(ValueError, match="at least 2"):
         max_extendible_fidelity(1)
+    # a float dimension is rejected, not truncated to d = 2
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        max_extendible_fidelity(2.5)
     # the bisection cannot shrink below one ulp: tol <= 0 would never return
     for bad in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="tol"):
@@ -504,6 +561,17 @@ def test_determinism():
         b.pt_residual,
     )
     assert a.history == b.history
+
+
+def test_sweep_integer_arguments():
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        run_isotropic_sweep(2, 0.7, 0.8, 2.5)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        run_isotropic_sweep(2.0, 0.7, 0.8, 3)
+    with pytest.raises(ValueError, match="at least 2"):
+        run_isotropic_sweep(1, 0.7, 0.8, 3)
+    result = run_isotropic_sweep(np.int64(2), 0.7, 0.7, np.int64(1))
+    assert result.d == 2 and len(result.rows) == 1
 
 
 def test_sweep_single_point_and_boundary():

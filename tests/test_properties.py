@@ -1,6 +1,6 @@
-"""Seeded property tests: the relative entropy against a dense reference, and
-the identities of the extension geometry shared by the solver and the
-Frank-Wolfe oracle."""
+"""Seeded property tests: the relative entropy against a dense reference, the
+identities of the extension geometry shared by the solver and the
+Frank-Wolfe oracle, and certificate round trips with negative controls."""
 
 import math
 
@@ -9,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symext import linalg
-from symext.extend import _Geometry
+from symext.extend import (
+    FEASIBLE,
+    INFEASIBLE_NUMERICAL,
+    ExtensionProblem,
+    _Geometry,
+    solve_extension,
+    verify_certificate,
+    verify_witness,
+)
 from symext.quantum import DensityMatrix, relative_entropy
-from symext.sampling import random_density, random_unitary
+from symext.sampling import random_density, random_entangled_pure, random_unitary
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -109,3 +117,56 @@ def test_geometry_swap_avg_idempotent_and_reduction_of_kron(seed, dims):
     assert np.allclose(once, once.conj().T, rtol=0.0, atol=1e-14)
     y = random_hermitian(rng, geo.d_ab)
     assert np.allclose(geo.ptrace_last(geo.kron_eye(y)), geo.d_b * y, rtol=0.0, atol=1e-12)
+
+
+def extendible_pair(rng, dims):
+    """A full-rank swap-invariant state X on A B B' and its reduction rho."""
+    geo = _Geometry(dims)
+    g = rng.standard_normal((geo.side, geo.side)) + 1j * rng.standard_normal((geo.side, geo.side))
+    x = geo.swap_avg(g @ g.conj().T)
+    x /= np.trace(x).real
+    return geo, x, DensityMatrix(geo.ptrace_last(x), dims)
+
+
+@PROPERTY
+@given(seeds, shapes)
+def test_certificate_round_trip_with_negative_controls(seed, dims):
+    rng = np.random.default_rng(seed)
+    geo, x, rho = extendible_pair(rng, dims)
+    assert verify_certificate(x, rho).combined <= 1e-12
+    # flipped sign: -X is negative definite and reduces to -rho
+    flipped = verify_certificate(-x, rho)
+    assert flipped.psd >= np.linalg.eigvalsh(x)[-1] * (1 - 1e-12)
+    assert flipped.pt >= 1.0 / geo.d_ab
+    # perturbed rho: the marginal residual is exactly the perturbation
+    sigma = random_density(rng, dims).matrix
+    t = 1e-3
+    moved = DensityMatrix((1 - t) * rho.matrix + t * sigma, dims)
+    expected = t * np.linalg.norm(rho.matrix - sigma)
+    assert abs(verify_certificate(x, moved).pt - expected) <= 1e-12
+    # a swap-odd part a (V a V = -a) shows as swap residual 2 t ||a||
+    h = random_hermitian(rng, geo.side)
+    odd = h - geo.swap_avg(h)
+    res = verify_certificate(x + t * odd, rho).swap
+    assert abs(res - 2 * t * np.linalg.norm(odd)) <= 1e-12
+
+
+@settings(PROPERTY, max_examples=15)
+@given(seeds, shapes)
+def test_solver_certificates_round_trip(seed, dims):
+    # Feasible: the candidate re-verifies, and fails once the target moves
+    rng = np.random.default_rng(seed)
+    _, _, rho = extendible_pair(rng, dims)
+    cert = solve_extension(ExtensionProblem(target=rho))
+    assert cert.verdict == FEASIBLE
+    assert verify_certificate(cert.candidate, rho).combined <= ExtensionProblem.tol
+    moved = DensityMatrix(0.99 * rho.matrix + 0.01 * random_density(rng, dims).matrix, dims)
+    assert verify_certificate(cert.candidate, moved).pt > ExtensionProblem.tol
+    # InfeasibleNumerical: the witness certifies, its negation does not, and
+    # it never certifies against an extendible state
+    pure = random_entangled_pure(rng, dims)
+    cert = solve_extension(ExtensionProblem(target=pure))
+    assert cert.verdict == INFEASIBLE_NUMERICAL
+    assert verify_witness(cert.witness, pure).certified
+    assert not verify_witness(-cert.witness, pure).certified
+    assert not verify_witness(cert.witness, rho).certified
