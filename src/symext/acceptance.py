@@ -58,13 +58,6 @@ class CheckResult:
     seconds: float
 
 
-def _boundary_sweep(d, f_lo, f_hi, want):
-    result = run_isotropic_sweep(d, f_lo, f_hi, 31)
-    if result.boundary is None:
-        return "no boundary found", False
-    return f"{result.boundary:.4f}", abs(result.boundary - want) <= 0.01
-
-
 def _extension_reduction(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -106,27 +99,21 @@ def _boundary_extension_oracle(d):
     return f"psd={res.psd:.1e} swap={res.swap:.1e} pt={res.pt:.1e}", ok
 
 
-def _isotropic_bracket(d):
-    """Certified solver verdicts 0.01 either side of F_b = (d+1)/(2d), the
-    2-extendible isotropic boundary (Johnson and Viola, PRA 88, 032323,
-    2013): below, a Feasible extension that verify_certificate re-derives
-    within tol; above, a witness that verify_witness certifies."""
-    f_b = isotropic_boundary_fidelity(d)
-    parts, ok = [], True
-    for side, f in (("lo", f_b - 0.01), ("hi", f_b + 0.01)):
-        target = isotropic(d, f)
-        start = time.perf_counter()
-        cert = solve_extension(ExtensionProblem(target=target))
-        took = time.perf_counter() - start
-        if side == "lo":
-            res = verify_certificate(cert.candidate, target).combined
-            ok &= cert.verdict == FEASIBLE and res <= ExtensionProblem.tol
-            proof = f"res={res:.1e}"
-        else:
-            ok &= cert.verdict == INFEASIBLE_NUMERICAL and _witnessed(cert, target)
-            proof = f"margin={cert.witness_margin:.2e}" if cert.witness is not None else "none"
-        parts.append(f"{side}: {cert.verdict} {proof} evals={cert.iterations} {took:.2f}s")
-    return "; ".join(parts), ok
+def _certified_bracket(result, want, tol):
+    """A sweep's boundary, within tol of want, with both bracket ends
+    certified: the Feasible candidate re-verifies within the solver tol and
+    the witness above it is certified. The 2-extendible isotropic boundary
+    is F_b = (d+1)/(2d) (Johnson and Viola, PRA 88, 032323, 2013)."""
+    if result.bracket is None:
+        return "no bracket found", False
+    lo, hi = result.bracket
+    res = verify_certificate(lo.certificate.candidate, isotropic(result.d, lo.fidelity)).combined
+    ok = (res <= ExtensionProblem.tol and lo.fidelity <= want <= hi.fidelity
+          and _witnessed(hi.certificate, isotropic(result.d, hi.fidelity))
+          and abs(result.boundary - want) <= tol)
+    return (f"{result.boundary:.4f} in [{lo.fidelity:.4f}, {hi.fidelity:.4f}] res={res:.1e} "
+            f"margin={hi.certificate.witness_margin:.2e} "
+            f"evals={lo.certificate.iterations}/{hi.certificate.iterations}", ok)
 
 
 def _headline_zero_capacity():
@@ -157,25 +144,15 @@ def _witnessed(cert, target) -> bool:
     return cert.witness is not None and verify_witness(cert.witness, target).certified
 
 
-def _depolarizing_flip():
-    feas = solve_extension(
-        ExtensionProblem(target=isotropic(2, 1.0 - 3 * 0.35 / 4))
-    ).verdict
-    target = isotropic(2, 1.0 - 3 * 0.31 / 4)
-    cert = solve_extension(ExtensionProblem(target=target))
-    witnessed = _witnessed(cert, target)
-    ok = feas == FEASIBLE and cert.verdict == INFEASIBLE_NUMERICAL and witnessed
-    return f"p=0.35: {feas}; p=0.31: {cert.verdict} (witnessed: {witnessed})", ok
-
-
 def _battery_separable(seed):
     rng = np.random.default_rng(seed)
     n_ok = 0
     for i in range(100):
-        dims = (2, 2) if i % 2 == 0 else (3, 3)
-        cert = solve_extension(ExtensionProblem(target=random_separable(rng, dims)))
-        n_ok += cert.verdict == FEASIBLE
-    return f"{n_ok}/100 Feasible", n_ok == 100
+        target = random_separable(rng, (2, 2) if i % 2 == 0 else (3, 3))
+        cert = solve_extension(ExtensionProblem(target=target))
+        res = verify_certificate(cert.candidate, target).combined
+        n_ok += cert.verdict == FEASIBLE and res <= ExtensionProblem.tol
+    return f"{n_ok}/100 Feasible and certified", n_ok == 100
 
 
 def _battery_entangled(seed):
@@ -252,9 +229,9 @@ def _two_copy(kind):
 def _registry(seed):
     return [
         ("boundary-sweep-d2", "0.7500", "0.01",
-         lambda: _boundary_sweep(2, 0.6, 0.9, 0.75)),
+         lambda: _certified_bracket(run_isotropic_sweep(2, 0.6, 0.9, 31), 0.75, 0.01)),
         ("boundary-sweep-d3", "0.6667", "0.01",
-         lambda: _boundary_sweep(3, 0.5, 0.8, 2.0 / 3.0)),
+         lambda: _certified_bracket(run_isotropic_sweep(3, 0.5, 0.8, 31), 2.0 / 3.0, 0.01)),
         ("extension-family-reduction", "<=1e-12", "1e-12",
          lambda: _extension_reduction(seed)),
         ("extension-family-psd-boundary", "0.5", "1e-9",
@@ -264,7 +241,9 @@ def _registry(seed):
           for d in (2, 3, 4, 6, 8)),
         *((f"isotropic-bracket-d{d}",
            "lo=F_b-0.01 Feasible+certified, hi=F_b+0.01 witnessed; budget 2 s",
-           f"{ExtensionProblem.tol:.0e}", lambda d=d: _isotropic_bracket(d))
+           f"{ExtensionProblem.tol:.0e}",
+           lambda d=d, f_b=isotropic_boundary_fidelity(d): _certified_bracket(
+               run_isotropic_sweep(d, f_b - 0.01, f_b + 0.01, 2), f_b, 0.01))
           for d in (6, 8)),
         ("headline-zero-capacity", "Feasible, neg>0.05, hashing<=0", "exact",
          _headline_zero_capacity),
@@ -274,8 +253,9 @@ def _registry(seed):
          lambda: _normalization_anchor(3, 2e-3)),
         ("depolarizing-flip", "Feasible@0.35 / witnessed InfeasibleNumerical@0.31",
          "exact",
-         _depolarizing_flip),
-        ("battery-separable", "100/100 Feasible", "exact",
+         lambda: _certified_bracket(
+             run_isotropic_sweep(2, 1.0 - 3 * 0.35 / 4, 1.0 - 3 * 0.31 / 4, 2), 0.75, 0.01)),
+        ("battery-separable", "100/100 Feasible and certified", "exact",
          lambda: _battery_separable(seed)),
         ("battery-entangled-pure", "0/100 Feasible, every infeasible witnessed", "exact",
          lambda: _battery_entangled(seed)),

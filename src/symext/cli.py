@@ -220,14 +220,14 @@ def cmd_sweep_isotropic(args) -> int:
     with open(args.out_csv, "w") as fh:
         fh.write("F,verdict,psd_res,swap_res,pt_res,iters\n")
         for row in result.rows:
+            c = row.certificate
             fh.write(
-                f"{row.fidelity!r},{row.verdict},{row.psd_residual!r},"
-                f"{row.swap_residual!r},{row.pt_residual!r},{row.iterations}\n"
+                f"{row.fidelity!r},{c.verdict},{c.psd_residual!r},"
+                f"{c.swap_residual!r},{c.pt_residual!r},{c.iterations}\n"
             )
         if result.boundary is not None:
             fh.write(f"# boundary_estimate = {result.boundary!r}\n")
-    if result.boundary is not None:
-        print(f"boundary estimate: {result.boundary}")
+            print(f"boundary estimate: {result.boundary}")
     print(f"wrote {len(result.rows)} rows to {args.out_csv}")
     return 0
 

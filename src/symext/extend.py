@@ -37,11 +37,11 @@ X(y) itself is formed only at an exit:
     most max(w_max, 0), so the free test max(w_max, 0) < Re<rho, y> cannot
     hold for an extendible rho; the dual is unbounded below exactly when
     rho is not extendible, and its descent then drives y into this region.
-    When the test fires, W = -y is tried, and within a face also
-    W = -y + c K with K the projector onto ker(rho): Tr(K rho) = 0 and
-    lift(K) >= 0 vanishes exactly on range P, so a large enough c moves
-    lambda_min(lift W) onto the face. A witness ends the solve only after
-    ``verify_witness`` confirms its margin beyond a floating-point error bound.
+    When the test fires, W = -y is tried; within a face, if the free margin
+    is below minus that try's rounding bound, so is W = -y + c K, K the
+    projector onto ker(rho): Tr(K rho) = 0 and lift(K) >= 0 vanishes exactly
+    on range P, so a large enough c moves lambda_min(lift W) onto the face,
+    and only a witness that ``verify_witness`` certifies ends the solve.
 
 The dual starts at y0 = (2 rho - rho_A (x) I_B/d_B) / d_B, where
 Tr_B' lift(y0) = rho exactly: lift(y0) is the least-norm swap-invariant
@@ -331,17 +331,20 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
         x = f @ f.conj().T
         return (x + x.conj().T) / 2
 
-    def witness(y):
-        tries = [-y]
-        if geo.ker is not None:
-            # doubling c from ||y||: large enough to push lambda_min onto
-            # range P, small enough to keep the rounding bound below the margin
+    def witness(y, free_margin):
+        check = verify_witness(-y, target)
+        if check.certified:
+            return -y, check.margin
+        # A free margin within the rounding bound of -y is noise (Feasible
+        # rank-deficient targets trip the test at about -1e-16) that no face
+        # try can confirm. Doubling c from ||y|| is large enough to push
+        # lambda_min onto range P, small enough to keep the bound below the margin.
+        if geo.ker is not None and free_margin < -check.error_bound:
             c = linalg.hs_norm(y)
-            tries += [-y + c * 2.0**j * geo.ker for j in range(30)]
-        for w_op in tries:
-            check = verify_witness(w_op, target)
-            if check.certified:
-                return w_op, check.margin
+            for j in range(30):
+                check = verify_witness(w_op := -y + c * 2.0**j * geo.ker, target)
+                if check.certified:
+                    return w_op, check.margin
         return None
 
     rho_a = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
@@ -351,7 +354,7 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
         if grad_norm <= tol and max(residuals := geo.residual_triple(x := candidate(f))) <= tol:
             return finish(x, FEASIBLE, k, "tol", residuals=residuals)
         if free_margin < 0:
-            found = witness(y)
+            found = witness(y, free_margin)
             if found is not None:
                 return finish(candidate(f), INFEASIBLE_NUMERICAL, k, "witness", *found)
         if accepted:
@@ -459,26 +462,26 @@ def test_channel(
     )
 
 
-def max_extendible_fidelity(d: int, tol: float = 5e-3) -> float:
+def max_extendible_fidelity(d: int, tol: float = 5e-3) -> "SweepResult":
     """Bisect the extendibility boundary of the isotropic family.
 
     Twirling preserves both fidelity and extendibility, so the isotropic
     family is extremal and this boundary answers the maximal-fidelity
-    question for zero-capacity states. Converges to (d+1)/(2d). The
-    extension side d**3 must not exceed MAX_SIDE, so d <= 10.
+    question for zero-capacity states. Returns the solved midpoints as a
+    ``SweepResult``. The first midpoint of [1/d, 1] is exactly the boundary
+    F_b = (d+1)/(2d), which is Feasible, so the bracket's lower end is F_b
+    and ``boundary`` is within tol/2 above it. Side d**3 <= MAX_SIDE: d <= 10.
     """
     _require_count("dimension", d, 2)
     if not tol > 0:  # at one ulp the bisection stops shrinking: tol <= 0 never ends
         raise ValueError(f"tol must be positive, got {tol}")
     lo, hi = 1.0 / d, 1.0
+    rows = []
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        cert = solve_extension(ExtensionProblem(target=isotropic(d, mid)))
-        if cert.verdict == FEASIBLE:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+        rows.append(SweepRow(mid, solve_extension(ExtensionProblem(target=isotropic(d, mid)))))
+        lo, hi = (mid, hi) if rows[-1].certificate.verdict == FEASIBLE else (lo, mid)
+    return SweepResult(int(d), sorted(rows, key=lambda r: r.fidelity))
 
 
 @dataclass(eq=False)
@@ -502,18 +505,29 @@ def bob_side_map_preserves(rho: DensityMatrix, ch: KrausChannel) -> MapClosureRe
 @dataclass(frozen=True)
 class SweepRow:
     fidelity: float
-    verdict: str
-    psd_residual: float
-    swap_residual: float
-    pt_residual: float
-    iterations: int
+    certificate: ExtensionCertificate
 
 
 @dataclass(eq=False)
 class SweepResult:
+    """Isotropic solves in increasing fidelity. bracket is the pair of rows
+    (largest Feasible, smallest InfeasibleNumerical above it), or None if
+    there is none; boundary is its midpoint, with no interpolation."""
+
     d: int
     rows: list
-    boundary: float = None
+
+    @property
+    def bracket(self):
+        lo = max((r for r in self.rows if r.certificate.verdict == FEASIBLE),
+                 key=lambda r: r.fidelity, default=None)
+        above = [r for r in self.rows if lo is not None and r.fidelity > lo.fidelity
+                 and r.certificate.verdict == INFEASIBLE_NUMERICAL]
+        return (lo, min(above, key=lambda r: r.fidelity)) if above else None
+
+    @property
+    def boundary(self):
+        return None if self.bracket is None else sum(r.fidelity for r in self.bracket) / 2
 
 
 def run_isotropic_sweep(
@@ -524,34 +538,14 @@ def run_isotropic_sweep(
     tol: float = ExtensionProblem.tol,
     max_iter: int = ExtensionProblem.max_iter,
 ) -> SweepResult:
-    """Grid the isotropic family and estimate the extendibility boundary.
-
-    The boundary estimate is the midpoint between the largest Feasible
-    fidelity and the smallest InfeasibleNumerical fidelity above it; no
-    interpolation beyond the grid resolution is attempted.
-    """
+    """Solve the isotropic family on an even grid of fidelities; the
+    result's ``bracket`` and ``boundary`` locate the extendibility boundary."""
     _require_count("dimension", d, 2)
     _require_count("steps", steps, 1)
     if not 0.0 <= f_min <= f_max <= 1.0:
         raise ValueError(f"bad fidelity range [{f_min}, {f_max}]")
-    grid = [f_min] if steps == 1 else list(np.linspace(f_min, f_max, steps))
     rows = []
-    for f in grid:
+    for f in np.linspace(f_min, f_max, steps):  # steps = 1 gives [f_min]
         problem = ExtensionProblem(isotropic(d, float(f)), tol=tol, max_iter=max_iter)
-        cert = solve_extension(problem)
-        rows.append(SweepRow(float(f), cert.verdict, cert.psd_residual, cert.swap_residual,
-                             cert.pt_residual, cert.iterations))
-
-    boundary = None
-    if steps > 1:
-        feas = [r.fidelity for r in rows if r.verdict == FEASIBLE]
-        if feas:
-            last_feasible = max(feas)
-            infeas = [
-                r.fidelity
-                for r in rows
-                if r.verdict == INFEASIBLE_NUMERICAL and r.fidelity > last_feasible
-            ]
-            if infeas:
-                boundary = (last_feasible + min(infeas)) / 2
-    return SweepResult(d=int(d), rows=rows, boundary=boundary)
+        rows.append(SweepRow(float(f), solve_extension(problem)))
+    return SweepResult(d=int(d), rows=rows)

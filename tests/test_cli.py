@@ -220,6 +220,20 @@ def test_cmd_sweep(tmp_path, capsys):
     assert abs(float(boundary_line[0].split("=")[1]) - 0.75) <= 0.01
 
 
+def test_cmd_sweep_d3_csv(tmp_path, capsys):
+    out = tmp_path / "d3.csv"
+    assert main([
+        "sweep-isotropic", str(out),
+        "--d", "3", "--f-min", "0.5", "--f-max", "0.8", "--steps", "31",
+    ]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "F,verdict,psd_res,swap_res,pt_res,iters"
+    assert len(lines) == 33 and lines[-1] == "# boundary_estimate = 0.665"
+    # the rows either side of the estimate are the bracket the estimate bisects
+    assert lines[17].startswith("0.66,Feasible,") and lines[18].startswith("0.67,Infeasible")
+    assert "boundary estimate: 0.665" in capsys.readouterr().out
+
+
 def test_cmd_sweep_single_step(tmp_path):
     out = tmp_path / "one.csv"
     assert main([

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from symext.constructions import (
 )
 from symext.extend import (
     FEASIBLE,
+    INCONCLUSIVE,
     INFEASIBLE_NUMERICAL,
     ExtensionProblem,
+    SweepResult,
+    SweepRow,
     WitnessCheck,
     _Geometry,
     _lbfgs,
@@ -476,8 +481,19 @@ def test_rank_deficient_channels_certify_on_the_support(make):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_max_extendible_fidelity(d):
-    est = max_extendible_fidelity(d)
-    assert abs(est - (d + 1) / (2 * d)) <= 5e-3
+    result = max_extendible_fidelity(d)
+    f_b = isotropic_boundary_fidelity(d)
+    assert abs(result.boundary - f_b) <= 5e-3
+    # the bisection's value before it returned its rows
+    assert result.boundary == {2: 0.751953125, 3: 0.66796875, 4: 0.62646484375,
+                               6: 0.5849609375}[d]
+    assert [r.fidelity for r in result.rows] == sorted(r.fidelity for r in result.rows)
+    # the first midpoint of [1/d, 1] is F_b itself, so it is the Feasible end
+    lo, hi = result.bracket
+    assert lo.fidelity == f_b and 0 < hi.fidelity - f_b <= 5e-3
+    res = verify_certificate(lo.certificate.candidate, isotropic(d, lo.fidelity))
+    assert res.combined <= ExtensionProblem.tol
+    assert verify_witness(hi.certificate.witness, isotropic(d, hi.fidelity)).certified
 
 
 def test_max_extendible_fidelity_range_check():
@@ -577,10 +593,33 @@ def test_sweep_integer_arguments():
 def test_sweep_single_point_and_boundary():
     result = run_isotropic_sweep(2, 0.7, 0.7, 1)
     assert len(result.rows) == 1
-    assert result.boundary is None
+    assert result.bracket is None and result.boundary is None
 
     result = run_isotropic_sweep(2, 0.7, 0.8, 11)
-    assert result.boundary is not None
     assert abs(result.boundary - 0.75) <= 0.01
     fs = [r.fidelity for r in result.rows]
     assert fs == sorted(fs)
+    # the bracket ends are neighbours on the grid and carry their own solves
+    lo, hi = result.bracket
+    assert result.rows[result.rows.index(lo) + 1] is hi
+    assert result.boundary == (lo.fidelity + hi.fidelity) / 2
+    assert (lo.certificate.verdict, hi.certificate.verdict) == (FEASIBLE, INFEASIBLE_NUMERICAL)
+    res = verify_certificate(lo.certificate.candidate, isotropic(2, lo.fidelity))
+    assert res.combined <= ExtensionProblem.tol
+    assert verify_witness(hi.certificate.witness, isotropic(2, hi.fidelity)).certified
+
+
+def test_sweep_bracket_rule():
+    # only Feasible and InfeasibleNumerical rows can end the bracket
+    def rows(*verdicts):
+        return [SweepRow(0.1 * i, SimpleNamespace(verdict=v)) for i, v in enumerate(verdicts)]
+
+    bracket = SweepResult(2, rows(FEASIBLE, INCONCLUSIVE, INFEASIBLE_NUMERICAL)).bracket
+    assert [r.fidelity for r in bracket] == [0.0, 0.2]
+    bracket = SweepResult(2, rows(INFEASIBLE_NUMERICAL, FEASIBLE, FEASIBLE,
+                                  INFEASIBLE_NUMERICAL, INFEASIBLE_NUMERICAL)).bracket
+    assert [r.fidelity for r in bracket] == [0.2, 0.30000000000000004]
+    for verdicts in [(FEASIBLE, FEASIBLE), (INFEASIBLE_NUMERICAL, FEASIBLE),
+                     (FEASIBLE, INCONCLUSIVE), (INFEASIBLE_NUMERICAL,), ()]:
+        result = SweepResult(2, rows(*verdicts))
+        assert result.bracket is None and result.boundary is None

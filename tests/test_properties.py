@@ -1,6 +1,7 @@
 """Seeded property tests: the relative entropy against a dense reference, the
 identities of the extension geometry shared by the solver and the
-Frank-Wolfe oracle, and certificate round trips with negative controls."""
+Frank-Wolfe oracle, certificate round trips with negative controls, and the
+closure of the extendible set under channels on Bob's side."""
 
 import math
 
@@ -18,8 +19,8 @@ from symext.extend import (
     verify_certificate,
     verify_witness,
 )
-from symext.quantum import DensityMatrix, relative_entropy
-from symext.sampling import random_density, random_entangled_pure, random_unitary
+from symext.quantum import DensityMatrix, apply_channel, relative_entropy
+from symext.sampling import random_cptp, random_density, random_entangled_pure, random_unitary
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -170,3 +171,23 @@ def test_solver_certificates_round_trip(seed, dims):
     assert verify_witness(cert.witness, pure).certified
     assert not verify_witness(-cert.witness, pure).certified
     assert not verify_witness(cert.witness, rho).certified
+
+
+@PROPERTY
+@given(seeds, st.sampled_from([((2, 2), 2), ((2, 2), 3), ((3, 2), 2)]))
+def test_bob_side_channel_keeps_extension_exactly(seed, case):
+    # Lambda on B and on B' maps an extension X of rho to an extension of
+    # (id (x) Lambda) rho: the swap commutes with Lambda (x) Lambda and the
+    # trace over B' absorbs the trace-preserving copy on B'
+    dims, d_out = case
+    rng = np.random.default_rng(seed)
+    _, x, rho = extendible_pair(rng, dims)
+    ch = random_cptp(rng, dims[1], d_out, int(rng.integers(1, 4)))
+    x3 = DensityMatrix(x, (dims[0], dims[1], dims[1]))
+    mapped = apply_channel(ch, apply_channel(ch, x3, which=1), which=2)
+    target = apply_channel(ch, rho, which=1)
+    assert verify_certificate(mapped.matrix, target).combined <= 1e-12
+    # negative control: Lambda on B alone breaks the swap symmetry
+    one_side = apply_channel(ch, x3, which=1).matrix
+    if d_out == dims[1]:
+        assert verify_certificate(one_side, target).swap >= 1e-2
