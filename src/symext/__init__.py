@@ -52,7 +52,6 @@ from .quantum import (
     choi_from_kraus,
     coherent_information,
     depolarizing_channel,
-    embed_square,
     fidelity_maxent,
     kraus_from_choi,
     max_entangled_projector,

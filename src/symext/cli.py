@@ -116,14 +116,12 @@ def _load_state_or_channel(path: str):
     return state_from_payload(payload)
 
 
-def _require_solvable(dims, square: bool = False) -> None:
-    """Reject inputs the extension solver cannot take, as input errors.
-
-    square checks the d x d zero-padding, d = max(dims), that the distance
-    to the extendible set runs on."""
+def _require_solvable(dims) -> None:
+    """Reject inputs the extension solver cannot take, as input errors; the
+    distance to the extendible set runs on the same d_A x d_B geometry."""
     if len(dims) != 2:
         raise InputError(f"field 'dims' must name two subsystems, got {list(dims)}")
-    d_a, d_b = (max(dims),) * 2 if square else dims
+    d_a, d_b = dims
     if d_a * d_b * d_b > MAX_SIDE:
         raise InputError(
             f"dims {list(dims)} need an extension of side {d_a * d_b * d_b}, "
@@ -235,7 +233,9 @@ def cmd_sweep_isotropic(args) -> int:
 def cmd_param(args) -> int:
     _require_positive(args, "tol", "max_iter", "fw_max_iter", "gap_tol")
     state = state_from_payload(_load_json(args.state_file))
-    _require_solvable(state.dims, square=True)
+    _require_solvable(state.dims)
+    if max(state.dims) < 2:
+        raise InputError(f"dims {list(state.dims)}: the distance needs a dimension of at least 2")
     report = bound_report(
         state,
         tol=args.tol,

@@ -170,13 +170,17 @@ class _Geometry:
     """Extension geometry on A (x) B (x) B' for the solver and the Frank-Wolfe
     oracle: swap average, reduction Tr_B', lift Y -> sym(Y (x) I_B'). For a
     target it also carries an orthonormal basis (side x dim P) of the forced
-    range P and the projector ker onto ker(target); both None if P is all."""
+    range P and the projector ker onto ker(target); both None if P is all.
+    A side d_A d_B**2 above MAX_SIDE is a ValueError, raised before any eigh:
+    this is the size check of both the extension solve and the distance."""
 
     def __init__(self, dims, rho=None, tol=None):
         d_a, d_b = dims
         self.d_a, self.d_b = d_a, d_b
         self.d_ab = d_a * d_b
         self.side = self.d_ab * d_b
+        if self.side > MAX_SIDE:
+            raise ValueError(f"extension side {self.side} exceeds supported maximum {MAX_SIDE}")
         self.shape6 = (d_a, d_b, d_b) * 2
         self.eye_b = np.eye(d_b)
         self.rho = self.basis = self.ker = None
@@ -314,9 +318,6 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     """
     target = problem.target
     d_a, d_b = target.dims
-    side = d_a * d_b * d_b
-    if side > MAX_SIDE:
-        raise ValueError(f"extension side {side} exceeds supported maximum {MAX_SIDE}")
     geo = _Geometry(target.dims, target.matrix, problem.tol)
     rho, tol = geo.rho, problem.tol
     history = []

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .extend import FEASIBLE, MAX_SIDE, ExtensionProblem, _Geometry, _lbfgs, solve_extension
+from .extend import FEASIBLE, ExtensionProblem, _Geometry, _lbfgs, solve_extension
 from .quantum import (
     LOG_FLOOR,
     DensityMatrix,
     coherent_information,
-    embed_square,
     negativity,
     relative_entropy,
     von_neumann_entropy,
@@ -50,7 +49,7 @@ def normalization_factor(d: int) -> float:
 
 @dataclass(eq=False)
 class ParamResult:
-    """Distance estimate: value = scale * R(embedded target || nearest).
+    """Distance estimate: value = scale * R(target || nearest).
 
     fw_gap is the certified width: the true infimum lies in
     [value - scale * fw_gap, value]. stop_reason is "gap" when the
@@ -87,25 +86,19 @@ def _grad_and_value(rho: np.ndarray, sigma: np.ndarray, c_rho: float):
     return value, (g + g.conj().T) / 2
 
 
-def _padded_dim(rho: DensityMatrix) -> int:
-    """d = max(d_A, d_B) of the d x d padding the distance runs on."""
-    d = max(rho.dims)
-    if d**3 > MAX_SIDE:
-        raise ValueError(
-            f"the {d} x {d} embedding needs an extension of side {d**3}, "
-            f"above the supported maximum {MAX_SIDE}"
-        )
-    return d
-
-
 def distance_to_extendible(
     rho: DensityMatrix, max_iter: int = 2000, gap_tol: float = 1e-5,
     extendible: bool | None = None,
 ) -> ParamResult:
     """Certified upper estimate of the normalized distance to extendibility.
 
-    The state is zero-padded to d x d first, d = max(d_A, d_B); an
-    extension side d**3 above MAX_SIDE is a ValueError. The extension
+    The distance runs on the state's own d_A x d_B geometry; an extension
+    side d_A d_B**2 above MAX_SIDE is a ValueError before any work. The
+    scale is normalization_factor(max(d_A, d_B)). Zero-padding to d x d,
+    d = max(d_A, d_B), would not lower the infimum: the channels that
+    compress C^d back onto each factor keep extendibility and fix the
+    padded state, so by data processing each padded extendible state is
+    matched by a d_A x d_B one at no larger distance. The extension
     solver's L-BFGS driver ``_lbfgs`` minimizes f(V) = R(rho || sigma(V)),
     sigma(V) = Tr_B' X(V) under a tiny mixing floor; its gradient is
     (2/t)(L - <L, X> I) V, with t = ||V||_F^2 and L the lift of the
@@ -116,9 +109,9 @@ def distance_to_extendible(
     evaluations, line-search trials included.
 
     extendible says whether rho has a symmetric extension, if the caller
-    has already decided it (zero-padding keeps that verdict); None runs an
-    extension solve here, which a dual witness usually ends at once on a
-    state that is not extendible. An extendible state is its own optimum
+    has already decided it; None runs an extension solve of rho here,
+    which a dual witness usually ends at once on a state that is not
+    extendible. An extendible state is its own optimum
     (distance exactly zero), so sigma = rho is checked first; its gap check
     normally ends the solve. Otherwise, or if it does not, the descent
     starts at V = I/sqrt(side), where sigma is maximally mixed.
@@ -128,16 +121,13 @@ def distance_to_extendible(
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1 and gap_tol > 0):
         raise ValueError(f"max_iter must be a positive integer and gap_tol positive, "
                          f"got {max_iter}, {gap_tol}")
-    d = _padded_dim(rho)
-    embedded = embed_square(rho)
-    scale = normalization_factor(d)
-    rho_t = embedded.matrix if embedded.matrix.imag.any() else embedded.matrix.real
-    c_rho = -von_neumann_entropy(embedded)
-
-    geo = _Geometry((d, d))
-    floor = LOG_FLOOR * np.eye(d * d) / (d * d)
+    geo = _Geometry(rho.dims)
+    scale = normalization_factor(max(rho.dims))
+    rho_t = rho.matrix if rho.matrix.imag.any() else rho.matrix.real
+    c_rho = -von_neumann_entropy(rho)
+    floor = LOG_FLOOR * np.eye(geo.d_ab) / geo.d_ab
     if extendible is None:
-        extendible = solve_extension(ExtensionProblem(target=embedded)).verdict == FEASIBLE
+        extendible = solve_extension(ExtensionProblem(target=rho)).verdict == FEASIBLE
 
     def evaluate(v):
         t = linalg.hs_norm(v) ** 2
@@ -169,8 +159,8 @@ def distance_to_extendible(
                     stop_reason = "gap"
                     break
 
-    nearest = DensityMatrix(sigma, (d, d))
-    final_value = relative_entropy(embedded, nearest)
+    nearest = DensityMatrix(sigma, rho.dims)
+    final_value = relative_entropy(rho, nearest)
     return ParamResult(
         value=scale * final_value, nearest=nearest, fw_gap=max(final_value - lower, 0.0),
         iterations=iterations, scale=scale, stop_reason=stop_reason,
@@ -213,7 +203,6 @@ def bound_report(
     gap_tol: float = 1e-5,
 ) -> BoundReport:
     """Extendibility verdict, hashing bound and distance parameter for one state."""
-    _padded_dim(rho)  # the size check, before the extension solve
     cert = solve_extension(ExtensionProblem(target=rho, tol=tol, max_iter=max_iter))
     certified = cert.verdict == FEASIBLE
     par = distance_to_extendible(

@@ -26,7 +26,6 @@ __all__ = [
     "coherent_information",
     "fidelity_maxent",
     "negativity",
-    "embed_square",
     "twirl_isotropic",
 ]
 
@@ -253,20 +252,6 @@ def negativity(rho: DensityMatrix) -> float:
     pt = linalg.partial_transpose(rho.matrix, rho.dims, 1)
     w = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
     return float(np.sum(-w[w < 0]))
-
-
-def embed_square(rho: DensityMatrix) -> DensityMatrix:
-    """Zero-pad a bipartite state into d x d with d = max local dimension."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"state must be bipartite, got dims {rho.dims}")
-    da, db = rho.dims
-    d = max(da, db)
-    if da == db:
-        return rho
-    t = rho.matrix.reshape(da, db, da, db)
-    out = np.zeros((d, d, d, d), dtype=complex)
-    out[:da, :db, :da, :db] = t
-    return DensityMatrix(out.reshape(d * d, d * d), (d, d))
 
 
 def twirl_isotropic(rho: DensityMatrix) -> DensityMatrix:

@@ -13,6 +13,7 @@ from symext.cli import (
 )
 from symext.constructions import example_state, isotropic
 from symext.quantum import max_entangled_projector
+from symext.sampling import random_entangled_pure
 
 
 def write_json(path, payload):
@@ -277,14 +278,41 @@ def test_cmd_param_json(tmp_path, capsys):
     assert payload["fw_stop"] == "gap"
 
 
-def test_cmd_param_embedded_side_is_input_error(tmp_path, capsys):
-    # the distance runs on the 11 x 11 zero-padding, side 1331 > MAX_SIDE
+def no_eigh(*args, **kwargs):
+    raise AssertionError("eigh ran before the input check")
+
+
+def test_cmd_param_embedded_side_is_input_error(tmp_path, capsys, monkeypatch):
+    # 2 x 23 needs an extension of side d_A d_B^2 = 1058 > MAX_SIDE
     infile = tmp_path / "state.json"
-    write_json(infile, {"dims": [11, 2], "matrix": encode_matrix(np.eye(22) / 22)})
+    write_json(infile, {"dims": [2, 23], "matrix": encode_matrix(np.eye(46) / 46)})
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     assert main(["param", str(infile), "--json"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("input error:") and "side 1331" in captured.err
+    assert captured.err.startswith("input error:") and "side 1058" in captured.err
     assert captured.out == ""
+
+
+def test_cmd_param_one_dimensional_state_is_input_error(tmp_path, capsys, monkeypatch):
+    # normalization_factor(1) is undefined: rejected before any solve
+    infile = tmp_path / "state.json"
+    write_json(infile, {"dims": [1, 1], "matrix": encode_matrix(np.eye(1))})
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert main(["param", str(infile), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and "at least 2" in captured.err
+    assert captured.out == ""
+
+
+def test_cmd_param_answers_non_square_beyond_padding(tmp_path, capsys):
+    # 11 x 2 runs on its own side 44; a d x d padding would need 1331
+    infile = tmp_path / "state.json"
+    state = random_entangled_pure(np.random.default_rng(11), (11, 2))
+    write_json(infile, state_to_payload(state))
+    assert main(["param", str(infile), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fw_stop"] == "gap"
+    assert payload["certified_zero"] is False
 
 
 def test_cmd_param_prints_certified_line(tmp_path, capsys):

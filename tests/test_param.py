@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symext import param
+from symext import extend, param
 from symext.constructions import example_state, isotropic, isotropic_boundary_fidelity
 from symext.extend import FEASIBLE, solve_extension
 from symext.param import (
@@ -59,8 +59,7 @@ def test_maxent_distance_d3():
 
 def test_result_invariant_value_ties_to_nearest():
     result = distance_to_extendible(isotropic(2, 0.85), max_iter=1000)
-    embedded = isotropic(2, 0.85)
-    recomputed = result.scale * relative_entropy(embedded, result.nearest)
+    recomputed = result.scale * relative_entropy(isotropic(2, 0.85), result.nearest)
     assert result.value == pytest.approx(recomputed, abs=1e-9)
     assert result.fw_gap >= 0.0
 
@@ -107,22 +106,25 @@ def test_non_bipartite_rejected():
         distance_to_extendible(random_density(rng, (2, 2, 2)))
 
 
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("eigh ran before the size check")
+
+
 @pytest.mark.parametrize("extendible", [None, True, False])
-def test_embedded_side_above_max_side_rejected(extendible):
-    # 11 x 2 passes d_A d_B^2 = 44, but the 11 x 11 embedding needs side 1331;
-    # the check comes before any solve, whatever the caller's verdict
-    rho = random_density(np.random.default_rng(59), (11, 2))
-    with pytest.raises(ValueError, match="side 1331"):
+def test_embedded_side_above_max_side_rejected(extendible, monkeypatch):
+    # 2 x 23 needs an extension of side d_A d_B^2 = 1058 > MAX_SIDE; the
+    # solver's geometry rejects it before any eigh, whatever the caller's verdict
+    rho = random_density(np.random.default_rng(59), (2, 23))
+    monkeypatch.setattr(extend.np.linalg, "eigh", _no_eigh)
+    with pytest.raises(ValueError, match="side 1058"):
         distance_to_extendible(rho, extendible=extendible)
 
 
 def test_bound_report_rejects_embedded_side_before_solving(monkeypatch):
-    def no_solve(problem):
-        raise AssertionError("solved before the size check")
-
-    monkeypatch.setattr(param, "solve_extension", no_solve)
-    with pytest.raises(ValueError, match="side 1331"):
-        bound_report(random_density(np.random.default_rng(59), (11, 2)))
+    rho = random_density(np.random.default_rng(59), (2, 23))
+    monkeypatch.setattr(extend.np.linalg, "eigh", _no_eigh)
+    with pytest.raises(ValueError, match="side 1058"):
+        bound_report(rho)
 
 
 @pytest.mark.parametrize("bad", [0.0, float("nan"), 3.5])
@@ -138,18 +140,31 @@ def test_budget_and_gap_tol_validated(bad):
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
 def test_non_square_distance_local_unitary_invariance(dims):
-    # embed_square pads to d x d; the certified interval must not depend
-    # on the local basis of the unpadded state
+    # the certified interval must not depend on the local basis, nor on
+    # zero-padding to d x d: compressing C^d back onto each factor keeps
+    # extendibility and fixes the padded state, so by data processing the
+    # padded infimum equals the native one
     rng = np.random.default_rng(55)
+    d_a, d_b = dims
+    d = max(dims)
     for _ in range(3):
         rho = random_entangled_pure(rng, dims)
-        op = np.kron(random_unitary(rng, dims[0]), random_unitary(rng, dims[1]))
+        op = np.kron(random_unitary(rng, d_a), random_unitary(rng, d_b))
         rotated = DensityMatrix(op @ rho.matrix @ op.conj().T, dims)
-        a = distance_to_extendible(rho)
-        b = distance_to_extendible(rotated)
-        assert a.stop_reason == b.stop_reason == "gap"
-        width_a, width_b = a.scale * a.fw_gap, b.scale * b.fw_gap
-        assert abs(a.value - b.value) <= width_a + width_b + 1e-9
+        padded = np.zeros((d, d, d, d), dtype=complex)
+        padded[:d_a, :d_b, :d_a, :d_b] = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+        results = [
+            distance_to_extendible(rho),
+            distance_to_extendible(rotated),
+            distance_to_extendible(DensityMatrix(padded.reshape(d * d, d * d), (d, d))),
+        ]
+        assert [r.stop_reason for r in results] == ["gap"] * 3
+        assert len({r.scale for r in results}) == 1
+        a = results[0]
+        assert a.nearest.dims == dims
+        for b in results[1:]:
+            width_a, width_b = a.scale * a.fw_gap, b.scale * b.fw_gap
+            assert abs(a.value - b.value) <= width_a + width_b + 1e-9
 
 
 def test_hashing_lower_bound_cases():

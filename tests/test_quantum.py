@@ -14,7 +14,6 @@ from symext.quantum import (
     choi_from_kraus,
     coherent_information,
     depolarizing_channel,
-    embed_square,
     fidelity_maxent,
     kraus_from_choi,
     max_entangled_projector,
@@ -261,36 +260,6 @@ def test_negativity_cases():
     # a PPT state has no negative eigenvalue; the empty sum is +0.0, not -0.0
     for ppt in (DensityMatrix(np.eye(4) / 4, (2, 2)), isotropic(2, 0.5)):
         assert math.copysign(1.0, negativity(ppt)) == 1.0
-
-
-def test_embed_square():
-    rng = np.random.default_rng(28)
-    square = random_density(rng, (3, 3))
-    assert embed_square(square) is square
-
-    rect = random_density(rng, (2, 3))
-    out = embed_square(rect)
-    assert out.dims == (3, 3)
-    t_in = rect.matrix.reshape(2, 3, 2, 3)
-    t_out = out.matrix.reshape(3, 3, 3, 3)
-    assert np.allclose(t_out[:2, :, :2, :], t_in)
-    assert np.allclose(t_out[2, :, :, :], 0.0)
-    assert np.allclose(np.linalg.eigvalsh(out.matrix)[-6:], np.linalg.eigvalsh(rect.matrix))
-
-
-def test_embed_square_fidelity_oracle():
-    # embedded 2x3 maximally entangled pair: overlap with the d=3 projector
-    # computed by brute-force inner products is 2/3
-    vec = np.zeros(6)
-    vec[0] = vec[4] = 1 / math.sqrt(2)  # |00> + |11> on 2 (x) 3
-    rect = DensityMatrix(np.outer(vec, vec), (2, 3))
-    emb = embed_square(rect)
-    phi3 = np.eye(3).reshape(-1)
-    emb_vec = np.zeros(9)
-    emb_vec[0] = emb_vec[4] = 1 / math.sqrt(2)
-    brute = abs(np.dot(phi3, emb_vec)) ** 2 / 3
-    assert fidelity_maxent(emb) == pytest.approx(brute, abs=1e-12)
-    assert fidelity_maxent(emb) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_twirl_isotropic():
