@@ -35,6 +35,7 @@ from .extend import (
     test_channel,
     verify_certificate,
 )
+from .linalg import InputError
 from .param import (
     BoundReport,
     ParamResult,

@@ -5,8 +5,11 @@ channels travel as JSON with [re, im] pairs in row-major nested arrays;
 sweeps produce CSV. Exit codes: 0 = certified feasible (zero one-way
 capacity), 1 = not certified, 2 = error. Code 1 makes no claim of
 positive capacity; the test is one-sided. Errors print to stderr as
-"input error: ..." for a bad input file or a non-positive numeric option
-and as "internal error: <type>: ..." for a fault inside the program.
+"input error: ..." for a malformed input file, a numeric option that is not
+positive and finite, or an argument that breaks one of the library's rules
+(``linalg.InputError``: dimensions, sizes, bipartite targets, tolerances,
+sweep ranges), and as "internal error: <type>: ..." for a fault inside the
+program.
 """
 
 import argparse
@@ -18,14 +21,14 @@ import numpy as np
 
 from .extend import (
     FEASIBLE,
-    MAX_SIDE,
     ExtensionProblem,
     run_isotropic_sweep,
     solve_extension,
     test_channel,
 )
+from .linalg import InputError, _require_tol
 from .param import bound_report
-from .quantum import ChoiState, DensityMatrix, KrausChannel, choi_from_kraus
+from .quantum import DensityMatrix, KrausChannel, choi_from_kraus
 
 __all__ = [
     "encode_matrix",
@@ -35,10 +38,6 @@ __all__ = [
     "channel_from_payload",
     "main",
 ]
-
-
-class InputError(Exception):
-    """Raised for malformed or invariant-violating input files."""
 
 
 def encode_matrix(m) -> list:
@@ -70,12 +69,14 @@ def state_from_payload(payload) -> DensityMatrix:
         if field not in payload:
             raise InputError(f"state file is missing required field '{field}'")
     try:
-        dims = tuple(int(d) for d in payload["dims"])
-    except (TypeError, ValueError) as exc:
+        dims = tuple(payload["dims"])
+    except TypeError as exc:
         raise InputError(f"field 'dims' must be a list of integers: {exc}")
     matrix = decode_matrix(payload["matrix"], "matrix")
     try:
         return DensityMatrix(matrix, dims)
+    except InputError:
+        raise
     except ValueError as exc:
         raise InputError(f"field 'matrix' violates a state invariant: {exc}")
 
@@ -86,15 +87,13 @@ def channel_from_payload(payload) -> KrausChannel:
     for field in ("d_in", "d_out", "kraus"):
         if field not in payload:
             raise InputError(f"channel file is missing required field '{field}'")
-    try:
-        d_in, d_out = int(payload["d_in"]), int(payload["d_out"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"fields 'd_in'/'d_out' must be integers: {exc}")
     if not isinstance(payload["kraus"], list) or not payload["kraus"]:
         raise InputError("field 'kraus' must be a non-empty list of matrices")
     ops = [decode_matrix(k, f"kraus[{i}]") for i, k in enumerate(payload["kraus"])]
     try:
-        return KrausChannel(d_in, d_out, tuple(ops))
+        return KrausChannel(payload["d_in"], payload["d_out"], tuple(ops))
+    except InputError:
+        raise
     except ValueError as exc:
         raise InputError(f"field 'kraus' violates the channel invariant: {exc}")
 
@@ -116,25 +115,11 @@ def _load_state_or_channel(path: str):
     return state_from_payload(payload)
 
 
-def _require_solvable(dims) -> None:
-    """Reject inputs the extension solver cannot take, as input errors; the
-    distance to the extendible set runs on the same d_A x d_B geometry."""
-    if len(dims) != 2:
-        raise InputError(f"field 'dims' must name two subsystems, got {list(dims)}")
-    d_a, d_b = dims
-    if d_a * d_b * d_b > MAX_SIDE:
-        raise InputError(
-            f"dims {list(dims)} need an extension of side {d_a * d_b * d_b}, "
-            f"above the supported maximum {MAX_SIDE}"
-        )
-
-
 def _require_positive(args, *names) -> None:
-    """Reject non-positive (or NaN) numeric options as input errors."""
+    """Reject numeric options that are not positive and finite (NaN and
+    inf included) as input errors that name the option."""
     for name in names:
-        value = getattr(args, name)
-        if not value > 0:
-            raise InputError(f"--{name.replace('_', '-')} must be positive, got {value}")
+        _require_tol(f"--{name.replace('_', '-')}", getattr(args, name))
 
 
 def _write_json(path: str, payload) -> None:
@@ -154,14 +139,12 @@ def cmd_test(args) -> int:
     _require_positive(args, "tol", "max_iter")
     loaded = _load_state_or_channel(args.input_file)
     if isinstance(loaded, KrausChannel):
-        _require_solvable((loaded.d_in, loaded.d_out))
         result = test_channel(loaded, tol=args.tol, max_iter=args.max_iter)
         cert = result.certificate
         state = result.choi
         capacity = result.message
     else:
         state = loaded
-        _require_solvable(state.dims)
         cert = solve_extension(
             ExtensionProblem(target=state, tol=args.tol, max_iter=args.max_iter)
         )
@@ -202,11 +185,6 @@ def cmd_test(args) -> int:
 
 def cmd_sweep_isotropic(args) -> int:
     _require_positive(args, "tol", "max_iter")
-    if args.d < 2 or not (0.0 <= args.f_min <= args.f_max <= 1.0) or args.steps < 1:
-        raise InputError(
-            f"bad sweep range: d={args.d}, f in [{args.f_min}, {args.f_max}], steps={args.steps}"
-        )
-    _require_solvable((args.d, args.d))
     result = run_isotropic_sweep(
         args.d,
         args.f_min,
@@ -233,9 +211,6 @@ def cmd_sweep_isotropic(args) -> int:
 def cmd_param(args) -> int:
     _require_positive(args, "tol", "max_iter", "fw_max_iter", "gap_tol")
     state = state_from_payload(_load_json(args.state_file))
-    _require_solvable(state.dims)
-    if max(state.dims) < 2:
-        raise InputError(f"dims {list(state.dims)}: the distance needs a dimension of at least 2")
     report = bound_report(
         state,
         tol=args.tol,

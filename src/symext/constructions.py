@@ -167,9 +167,7 @@ def rank1_extension_state():
 
 def generalized_rank1_state(d: int) -> DensityMatrix:
     """d-dimensional family d/(2d-1) P+ + 1/(2d-1) sum_i |i 0><i 0|."""
-    d = int(d)
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    d = linalg._require_count("dimension", d, 2)
     m = d / (2 * d - 1) * max_entangled_projector(d)
     for i in range(1, d):
         m += 1.0 / (2 * d - 1) * _proj(_ket((d, d), i, 0))
@@ -178,10 +176,8 @@ def generalized_rank1_state(d: int) -> DensityMatrix:
 
 def isotropic(d: int, fidelity: float) -> DensityMatrix:
     """Isotropic state with the given overlap on the maximally entangled state."""
-    d = int(d)
+    d = linalg._require_count("dimension", d, 2)
     f = float(fidelity)
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {f}")
     p = max_entangled_projector(d)
@@ -191,9 +187,7 @@ def isotropic(d: int, fidelity: float) -> DensityMatrix:
 
 def isotropic_boundary_fidelity(d: int) -> float:
     """Largest isotropic fidelity that still admits a symmetric extension."""
-    d = int(d)
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    d = linalg._require_count("dimension", d, 2)
     return (d + 1) / (2 * d)
 
 
@@ -206,9 +200,7 @@ def boundary_isotropic_extension(d: int) -> np.ndarray:
     Pi (|phi> (x) |k>): trace one, PSD, invariant under swapping the last two
     factors, and its two-party reduction is isotropic with fidelity (d+1)/(2d).
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    d = linalg._require_count("dimension", d, 2)
     e = np.eye(d, dtype=complex)
     # column k of phi_k is |phi> (x) |k>, indexed (a, b, b', k); V swaps b, b'
     phi_k = e[:, :, None, None] * e[None, None, :, :]

@@ -58,6 +58,7 @@ import numpy as np
 
 from . import linalg
 from .constructions import isotropic
+from .linalg import InputError, _require_count, _require_tol
 from .quantum import DensityMatrix, KrausChannel, apply_channel, choi_from_kraus
 
 FEASIBLE = "Feasible"
@@ -89,12 +90,6 @@ __all__ = [
 ]
 
 
-def _require_count(name, value, least):
-    """Reject a non-integer count or dimension (a float is not rounded)."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class ExtensionProblem:
     target: DensityMatrix
@@ -103,9 +98,8 @@ class ExtensionProblem:
 
     def __post_init__(self):
         if len(self.target.dims) != 2:
-            raise ValueError(f"target must be bipartite, got dims {self.target.dims}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise InputError(f"target must be bipartite (two subsystems), got {self.target.dims}")
+        _require_tol("tol", self.tol)
         _require_count("max_iter", self.max_iter, 1)
 
 
@@ -171,7 +165,7 @@ class _Geometry:
     oracle: swap average, reduction Tr_B', lift Y -> sym(Y (x) I_B'). For a
     target it also carries an orthonormal basis (side x dim P) of the forced
     range P and the projector ker onto ker(target); both None if P is all.
-    A side d_A d_B**2 above MAX_SIDE is a ValueError, raised before any eigh:
+    A side d_A d_B**2 above MAX_SIDE is an InputError, raised before any eigh:
     this is the size check of both the extension solve and the distance."""
 
     def __init__(self, dims, rho=None, tol=None):
@@ -180,7 +174,7 @@ class _Geometry:
         self.d_ab = d_a * d_b
         self.side = self.d_ab * d_b
         if self.side > MAX_SIDE:
-            raise ValueError(f"extension side {self.side} exceeds supported maximum {MAX_SIDE}")
+            raise InputError(f"extension side {self.side} exceeds supported maximum {MAX_SIDE}")
         self.shape6 = (d_a, d_b, d_b) * 2
         self.eye_b = np.eye(d_b)
         self.rho = self.basis = self.ker = None
@@ -473,16 +467,15 @@ def max_extendible_fidelity(d: int, tol: float = 5e-3) -> "SweepResult":
     F_b = (d+1)/(2d), which is Feasible, so the bracket's lower end is F_b
     and ``boundary`` is within tol/2 above it. Side d**3 <= MAX_SIDE: d <= 10.
     """
-    _require_count("dimension", d, 2)
-    if not tol > 0:  # at one ulp the bisection stops shrinking: tol <= 0 never ends
-        raise ValueError(f"tol must be positive, got {tol}")
+    d = _require_count("dimension", d, 2)
+    _require_tol("tol", tol)  # at one ulp the bisection stops shrinking: tol <= 0 never ends
     lo, hi = 1.0 / d, 1.0
     rows = []
     while hi - lo > tol:
         mid = (lo + hi) / 2
         rows.append(SweepRow(mid, solve_extension(ExtensionProblem(target=isotropic(d, mid)))))
         lo, hi = (mid, hi) if rows[-1].certificate.verdict == FEASIBLE else (lo, mid)
-    return SweepResult(int(d), sorted(rows, key=lambda r: r.fidelity))
+    return SweepResult(d, sorted(rows, key=lambda r: r.fidelity))
 
 
 @dataclass(eq=False)
@@ -541,12 +534,12 @@ def run_isotropic_sweep(
 ) -> SweepResult:
     """Solve the isotropic family on an even grid of fidelities; the
     result's ``bracket`` and ``boundary`` locate the extendibility boundary."""
-    _require_count("dimension", d, 2)
+    d = _require_count("dimension", d, 2)
     _require_count("steps", steps, 1)
     if not 0.0 <= f_min <= f_max <= 1.0:
-        raise ValueError(f"bad fidelity range [{f_min}, {f_max}]")
+        raise InputError(f"bad fidelity range [{f_min}, {f_max}]")
     rows = []
     for f in np.linspace(f_min, f_max, steps):  # steps = 1 gives [f_min]
         problem = ExtensionProblem(isotropic(d, float(f)), tol=tol, max_iter=max_iter)
         rows.append(SweepRow(float(f), solve_extension(problem)))
-    return SweepResult(d=int(d), rows=rows)
+    return SweepResult(d=d, rows=rows)

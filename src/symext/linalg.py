@@ -12,6 +12,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 
 __all__ = [
+    "InputError",
     "hermitianize",
     "partial_trace",
     "partial_transpose",
@@ -26,6 +27,27 @@ __all__ = [
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+class InputError(ValueError):
+    """An argument that breaks a documented rule of the library: a dimension
+    or count, a tolerance, an extension side, a bipartite target or a range.
+    Faults found inside a computation are never InputError."""
+
+
+def _require_count(name, value, least) -> int:
+    """Return an integer count or dimension of at least ``least`` as an int;
+    anything else, a float such as 2.0 or a bool included, is an InputError."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
+        raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _require_tol(name, value) -> None:
+    """Reject a tolerance that is not positive and finite (NaN included)."""
+    if not 0 < value < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -36,9 +58,7 @@ def _as_square(m) -> np.ndarray:
 
 
 def _check_dims(m: np.ndarray, dims) -> tuple:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    dims = tuple(_require_count("subsystem dimension", d, 1) for d in dims)
     if math.prod(dims) != m.shape[0]:
         raise ValueError(
             f"product of dims {dims} is {math.prod(dims)}, "
@@ -115,7 +135,7 @@ def swap_operator(dims, i: int, j: int) -> np.ndarray:
 def swap_permutation(dims, i: int, j: int) -> np.ndarray:
     """Index permutation p of the swap V of factors i and j: V m V equals
     m[np.ix_(p, p)], with no arithmetic."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_require_count("subsystem dimension", d, 1) for d in dims)
     n = len(dims)
     i, j = int(i), int(j)
     if i < 0 or i >= n or j < 0 or j >= n:

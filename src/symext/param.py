@@ -17,6 +17,7 @@ import numpy as np
 
 from . import linalg
 from .extend import FEASIBLE, ExtensionProblem, _Geometry, _lbfgs, solve_extension
+from .linalg import InputError, _require_count, _require_tol
 from .quantum import (
     LOG_FLOOR,
     DensityMatrix,
@@ -41,9 +42,7 @@ __all__ = [
 
 def normalization_factor(d: int) -> float:
     """Scale making the distance equal log2(d) on maximally entangled states."""
-    d = int(d)
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    d = _require_count("dimension", d, 2)
     return -math.log2(d) / math.log2((d + 1) / (2 * d))
 
 
@@ -86,16 +85,27 @@ def _grad_and_value(rho: np.ndarray, sigma: np.ndarray, c_rho: float):
     return value, (g + g.conj().T) / 2
 
 
+def _distance_geometry(rho: DensityMatrix, max_iter, gap_tol):
+    """The distance's argument rules, all checked before any work: returns
+    the state's extension geometry and the scale of the distance."""
+    if len(rho.dims) != 2:
+        raise InputError(f"state must be bipartite (two subsystems), got dims {rho.dims}")
+    _require_count("max_iter", max_iter, 1)
+    _require_tol("gap_tol", gap_tol)
+    return _Geometry(rho.dims), normalization_factor(max(rho.dims))
+
+
 def distance_to_extendible(
     rho: DensityMatrix, max_iter: int = 2000, gap_tol: float = 1e-5,
     extendible: bool | None = None,
 ) -> ParamResult:
     """Certified upper estimate of the normalized distance to extendibility.
 
-    The distance runs on the state's own d_A x d_B geometry; an extension
-    side d_A d_B**2 above MAX_SIDE is a ValueError before any work. The
-    scale is normalization_factor(max(d_A, d_B)). Zero-padding to d x d,
-    d = max(d_A, d_B), would not lower the infimum: the channels that
+    The distance runs on the state's own d_A x d_B geometry; the argument
+    rules of ``_distance_geometry`` (bipartite, side d_A d_B**2 at most
+    MAX_SIDE, max(d_A, d_B) >= 2, max_iter and gap_tol) are checked before
+    any work. The scale is normalization_factor(max(d_A, d_B)). Zero-padding
+    to d x d, d = max(d_A, d_B), would not lower the infimum: the channels that
     compress C^d back onto each factor keep extendibility and fix the
     padded state, so by data processing each padded extendible state is
     matched by a d_A x d_B one at no larger distance. The extension
@@ -116,13 +126,7 @@ def distance_to_extendible(
     normally ends the solve. Otherwise, or if it does not, the descent
     starts at V = I/sqrt(side), where sigma is maximally mixed.
     """
-    if len(rho.dims) != 2:
-        raise ValueError(f"state must be bipartite, got dims {rho.dims}")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1 and gap_tol > 0):
-        raise ValueError(f"max_iter must be a positive integer and gap_tol positive, "
-                         f"got {max_iter}, {gap_tol}")
-    geo = _Geometry(rho.dims)
-    scale = normalization_factor(max(rho.dims))
+    geo, scale = _distance_geometry(rho, max_iter, gap_tol)
     rho_t = rho.matrix if rho.matrix.imag.any() else rho.matrix.real
     c_rho = -von_neumann_entropy(rho)
     floor = LOG_FLOOR * np.eye(geo.d_ab) / geo.d_ab
@@ -202,7 +206,9 @@ def bound_report(
     fw_max_iter: int = 2000,
     gap_tol: float = 1e-5,
 ) -> BoundReport:
-    """Extendibility verdict, hashing bound and distance parameter for one state."""
+    """Extendibility verdict, hashing bound and distance parameter for one
+    state. The distance's argument rules are checked before the solve."""
+    _distance_geometry(rho, fw_max_iter, gap_tol)
     cert = solve_extension(ExtensionProblem(target=rho, tol=tol, max_iter=max_iter))
     certified = cert.verdict == FEASIBLE
     par = distance_to_extendible(

@@ -45,12 +45,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.hermitianize(self.matrix)
-        dims = tuple(int(d) for d in self.dims) if self.dims else (m.shape[0],)
-        if math.prod(dims) != m.shape[0]:
-            raise ValueError(
-                f"dims {dims} product {math.prod(dims)} does not match "
-                f"matrix side {m.shape[0]}"
-            )
+        dims = linalg._check_dims(m, self.dims or (m.shape[0],))
         tr = float(m.trace().real)
         if abs(tr - 1.0) > INPUT_TOL:
             raise ValueError(f"trace is {tr!r}, off from 1 by {abs(tr - 1.0):.3e}")
@@ -74,9 +69,8 @@ class KrausChannel:
     kraus: tuple
 
     def __post_init__(self):
-        d_in, d_out = int(self.d_in), int(self.d_out)
-        if d_in < 1 or d_out < 1:
-            raise ValueError("channel dimensions must be positive")
+        d_in = linalg._require_count("d_in", self.d_in, 1)
+        d_out = linalg._require_count("d_out", self.d_out, 1)
         ops = tuple(_readonly(np.asarray(k, dtype=complex)) for k in self.kraus)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
@@ -128,7 +122,8 @@ class ChoiState:
 
 def max_entangled_projector(d: int) -> np.ndarray:
     """Trace-one projector onto sum_i |ii> / sqrt(d)."""
-    phi = np.eye(int(d), dtype=complex).reshape(-1)
+    d = linalg._require_count("dimension", d, 1)
+    phi = np.eye(d, dtype=complex).reshape(-1)
     return np.outer(phi, phi.conj()) / d
 
 
@@ -186,9 +181,7 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix, which=None) -> DensityMa
 
 def depolarizing_channel(d: int, p: float) -> KrausChannel:
     """Channel rho -> (1-p) rho + p I/d via the Heisenberg-Weyl basis."""
-    d = int(d)
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    d = linalg._require_count("dimension", d, 2)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     omega = np.exp(2j * np.pi / d)

@@ -155,8 +155,12 @@ def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypa
     def broken(problem):
         raise RuntimeError("solver fault")
 
-    # non-positive numeric options are input errors, not library faults
+    # numeric options that are not positive and finite are input errors, not
+    # library faults; at --tol inf any candidate passed as Feasible and
+    # certified zero capacity for the maximally entangled state
     write_json(infile, state_to_payload(isotropic(2, 0.7)))
+    maxent = tmp_path / "maxent.json"
+    write_json(maxent, state_to_payload(isotropic(2, 1.0)))
     out_csv = str(tmp_path / "sweep.csv")
     sweep = ["sweep-isotropic", out_csv, "--d", "2", "--f-min", "0.7",
              "--f-max", "0.8", "--steps", "3"]
@@ -166,6 +170,10 @@ def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypa
         (sweep + ["--max-iter", "0"], "--max-iter"),
         (["param", str(infile), "--fw-max-iter", "0", "--json"], "--fw-max-iter"),
         (["param", str(infile), "--gap-tol", "-1"], "--gap-tol"),
+        (["test", str(maxent), "--tol", "inf"], "--tol"),
+        (["param", str(maxent), "--tol", "inf", "--json"], "--tol"),
+        (sweep + ["--tol", "inf"], "--tol"),
+        (["param", str(infile), "--gap-tol", "inf"], "--gap-tol"),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -176,6 +184,30 @@ def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypa
     assert main(["test", str(infile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError: solver fault")
+
+    # LinAlgError is a ValueError, but not an input error
+    def singular(problem):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(cli, "solve_extension", singular)
+    assert main(["test", str(infile)]) == 2
+    assert capsys.readouterr().err.startswith("internal error: LinAlgError:")
+
+
+def test_cmd_non_integer_dimensions_are_input_errors(tmp_path, capsys):
+    # a float dimension is not rounded, and negative dims are an input
+    # error rather than a fault inside the solve
+    infile = tmp_path / "in.json"
+    for payload, name in [
+        ({"dims": [2.9, 2.0], "matrix": encode_matrix(np.eye(4) / 4)}, "dimension"),
+        ({"dims": [-1, -2], "matrix": encode_matrix(np.eye(2) / 2)}, "dimension"),
+        ({"d_in": 2.5, "d_out": 2, "kraus": [encode_matrix(np.eye(2))]}, "d_in"),
+    ]:
+        write_json(infile, payload)
+        assert main(["test", str(infile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:") and name in captured.err
+        assert captured.out == ""
 
 
 def test_cmd_test_channel_file(tmp_path, capsys):

@@ -167,6 +167,9 @@ def test_isotropic_family():
         isotropic(2, 1.5)
     with pytest.raises(ValueError):
         isotropic(1, 0.5)
+    # a float dimension is an input error, not truncated to d = 2
+    with pytest.raises(linalg.InputError, match="dimension must be an integer"):
+        isotropic(2.5, 0.8)
 
 
 def test_boundary_fidelity_values():

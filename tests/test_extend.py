@@ -55,7 +55,7 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="bipartite"):
         ExtensionProblem(target=tripartite)
     target = random_density(rng, (2, 2))
-    for bad in (0.0, float("nan")):
+    for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             ExtensionProblem(target=target, tol=bad)
     for bad in (0.0, float("nan"), 100.5):
@@ -496,6 +496,26 @@ def test_max_extendible_fidelity(d):
     assert verify_witness(hi.certificate.witness, isotropic(d, hi.fidelity)).certified
 
 
+def test_argument_rules_raise_input_error():
+    # every argument rule raises the one ValueError subclass the CLI reports
+    # as an input error; a fault inside a solve is never one
+    assert issubclass(linalg.InputError, ValueError)
+    assert not issubclass(np.linalg.LinAlgError, linalg.InputError)
+    rng = np.random.default_rng(0)
+    target = random_density(rng, (2, 2))
+    for call in (
+        lambda: ExtensionProblem(target=random_density(rng, (2, 2, 2))),
+        lambda: ExtensionProblem(target=target, tol=float("inf")),
+        lambda: ExtensionProblem(target=target, max_iter=0),
+        lambda: solve_extension(ExtensionProblem(target=random_density(rng, (9, 12)))),
+        lambda: run_isotropic_sweep(2, 0.8, 0.7, 3),
+        lambda: run_isotropic_sweep(2, 0.7, 0.8, 0),
+        lambda: max_extendible_fidelity(2, float("inf")),
+    ):
+        with pytest.raises(linalg.InputError):
+            call()
+
+
 def test_max_extendible_fidelity_range_check():
     with pytest.raises(ValueError, match="side"):
         max_extendible_fidelity(11)  # side 11**3 = 1331 exceeds MAX_SIDE
@@ -505,7 +525,7 @@ def test_max_extendible_fidelity_range_check():
     with pytest.raises(ValueError, match="dimension must be an integer"):
         max_extendible_fidelity(2.5)
     # the bisection cannot shrink below one ulp: tol <= 0 would never return
-    for bad in (0.0, -1e-3, float("nan")):
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             max_extendible_fidelity(2, bad)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symext import extend, param
+from symext import extend, linalg, param
 from symext.constructions import example_state, isotropic, isotropic_boundary_fidelity
 from symext.extend import FEASIBLE, solve_extension
 from symext.param import (
@@ -38,6 +38,9 @@ def test_normalization_factor_values():
         assert ident == pytest.approx(math.log2(d), abs=1e-12)
     with pytest.raises(ValueError):
         normalization_factor(1)
+    # a float dimension is an input error, not truncated to d = 2
+    with pytest.raises(linalg.InputError, match="dimension must be an integer"):
+        normalization_factor(2.9)
 
 
 def test_maxent_distance_matches_closed_form():
@@ -125,6 +128,22 @@ def test_bound_report_rejects_embedded_side_before_solving(monkeypatch):
     monkeypatch.setattr(extend.np.linalg, "eigh", _no_eigh)
     with pytest.raises(ValueError, match="side 1058"):
         bound_report(rho)
+
+
+@pytest.mark.parametrize(
+    "dims, kwargs",
+    [((1, 1), {}), ((2, 2), {"gap_tol": 0.0}), ((2, 2), {"gap_tol": float("inf")}),
+     ((2, 2), {"fw_max_iter": 0})],
+)
+def test_bound_report_checks_the_distance_arguments_before_solving(dims, kwargs, monkeypatch):
+    # a 1 x 1 state has no scale; each case used to run a full solve first
+    rho = random_density(np.random.default_rng(60), dims)
+    calls = []
+    monkeypatch.setattr(param, "solve_extension", calls.append)
+    monkeypatch.setattr(extend.np.linalg, "eigh", _no_eigh)
+    with pytest.raises(linalg.InputError):
+        bound_report(rho, **kwargs)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [0.0, float("nan"), 3.5])

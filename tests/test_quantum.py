@@ -40,6 +40,11 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(np.eye(4) / 4, (2, 3))
     with pytest.raises(ValueError, match="NaN"):
         DensityMatrix(np.diag([0.5, np.nan]), (2,))
+    # dims are integers: no rounding, no negative pairs, no bools
+    for m, dims in ((np.eye(4) / 4, (2.0, 2)), (np.eye(4) / 4, (2.9, 2.0)),
+                    (np.eye(2) / 2, (-1, -2)), (np.eye(2) / 2, (True, 2))):
+        with pytest.raises(linalg.InputError, match="dimension must be an integer"):
+            DensityMatrix(m, dims)
 
 
 def test_density_matrix_is_readonly():
@@ -51,6 +56,9 @@ def test_density_matrix_is_readonly():
 def test_kraus_channel_completeness_enforced():
     with pytest.raises(ValueError, match="trace-preserving"):
         KrausChannel(2, 2, (0.5 * np.eye(2),))
+    for d_in, d_out in ((2.5, 2), (2, 2.0)):  # not truncated to 2
+        with pytest.raises(linalg.InputError, match="d_(in|out) must be an integer"):
+            KrausChannel(d_in, d_out, (np.eye(2),))
     # NaN compares false with any tolerance: rejected before any arithmetic
     for bad in (np.nan, np.inf):
         with warnings.catch_warnings():
@@ -165,6 +173,9 @@ def test_depolarizing_parameter_validation():
         depolarizing_channel(2, 1.5)
     with pytest.raises(ValueError):
         depolarizing_channel(1, 0.5)
+    # a float dimension is an input error, not truncated to d = 3
+    with pytest.raises(linalg.InputError, match="dimension must be an integer"):
+        depolarizing_channel(3.7, 0.1)
     choi = choi_from_kraus(depolarizing_channel(2, 0.0))
     assert np.allclose(choi.state.matrix, max_entangled_projector(2))
 
