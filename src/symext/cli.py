@@ -19,13 +19,7 @@ import sys
 
 import numpy as np
 
-from .extend import (
-    FEASIBLE,
-    ExtensionProblem,
-    run_isotropic_sweep,
-    solve_extension,
-    test_channel,
-)
+from .extend import FEASIBLE, ExtensionProblem, run_isotropic_sweep, solve_extension
 from .linalg import InputError, _require_tol
 from .param import bound_report
 from .quantum import DensityMatrix, KrausChannel, choi_from_kraus
@@ -137,26 +131,20 @@ def cmd_choi(args) -> int:
 
 def cmd_test(args) -> int:
     _require_positive(args, "tol", "max_iter")
-    loaded = _load_state_or_channel(args.input_file)
-    if isinstance(loaded, KrausChannel):
-        result = test_channel(loaded, tol=args.tol, max_iter=args.max_iter)
-        cert = result.certificate
-        state = result.choi
-        capacity = result.message
+    state = _load_state_or_channel(args.input_file)
+    if isinstance(state, KrausChannel):
+        state = choi_from_kraus(state).state
+    cert = solve_extension(ExtensionProblem(target=state, tol=args.tol, max_iter=args.max_iter))
+    if cert.verdict == FEASIBLE:
+        capacity = "one-way capacity Q-> = 0 (certified by symmetric extension)"
     else:
-        state = loaded
-        cert = solve_extension(
-            ExtensionProblem(target=state, tol=args.tol, max_iter=args.max_iter)
-        )
-        if cert.verdict == FEASIBLE:
-            capacity = "one-way capacity Q-> = 0 (certified by symmetric extension)"
-        else:
-            capacity = "test inconclusive for capacity"
+        capacity = "test inconclusive for capacity (no symmetric extension found)"
+    res = cert.residuals
     report = {
         "verdict": cert.verdict,
-        "psd_residual": cert.psd_residual,
-        "swap_residual": cert.swap_residual,
-        "pt_residual": cert.pt_residual,
+        "psd_residual": res.psd,
+        "swap_residual": res.swap,
+        "pt_residual": res.pt,
         "iterations": cert.iterations,
         "stop_reason": cert.stop_reason,
         "witness_margin": cert.witness_margin,
@@ -171,10 +159,7 @@ def cmd_test(args) -> int:
     if args.out_report:
         _write_json(args.out_report, report)
     print(f"verdict: {cert.verdict} ({cert.iterations} iterations)")
-    print(
-        f"residuals: psd={cert.psd_residual:.3e} swap={cert.swap_residual:.3e} "
-        f"pt={cert.pt_residual:.3e}"
-    )
+    print(f"residuals: psd={res.psd:.3e} swap={res.swap:.3e} pt={res.pt:.3e}")
     stop = f"stopped by: {cert.stop_reason}"
     if cert.witness is not None:
         stop += f" (dual witness margin {cert.witness_margin:.3e})"
@@ -196,10 +181,10 @@ def cmd_sweep_isotropic(args) -> int:
     with open(args.out_csv, "w") as fh:
         fh.write("F,verdict,psd_res,swap_res,pt_res,iters\n")
         for row in result.rows:
-            c = row.certificate
+            c, res = row.certificate, row.certificate.residuals
             fh.write(
-                f"{row.fidelity!r},{c.verdict},{c.psd_residual!r},"
-                f"{c.swap_residual!r},{c.pt_residual!r},{c.iterations}\n"
+                f"{row.fidelity!r},{c.verdict},{res.psd!r},"
+                f"{res.swap!r},{res.pt!r},{c.iterations}\n"
             )
         if result.boundary is not None:
             fh.write(f"# boundary_estimate = {result.boundary!r}\n")

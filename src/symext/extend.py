@@ -27,8 +27,9 @@ X(y) itself is formed only at an exit:
 
   * Feasible: X(y) is PSD and swap-invariant by construction, so once the
     gradient norm (the marginal residual) is at most tol, X(y) is an
-    extension within tol. Its residuals are re-measured before the exit,
-    and ``verify_certificate`` re-derives them independently.
+    extension within tol. Its residuals are re-measured before the exit by
+    ``verify_certificate``, a code path independent of the solver, and only
+    a candidate it finds within tol ends the solve.
   * Infeasible: for Hermitian W on AB, every extendible sigma has
     Tr(W sigma) >= lambda_min(lift W) (Doherty, Parrilo and Spedalieri,
     PRA 69, 022308, 2004), so a negative margin Tr(W rho) - lambda_min
@@ -103,12 +104,28 @@ class ExtensionProblem:
         _require_count("max_iter", self.max_iter, 1)
 
 
+@dataclass(frozen=True)
+class CertificateResiduals:
+    """PSD, swap and marginal residuals of a candidate extension, as
+    ``verify_certificate`` measures them; combined is the largest."""
+
+    psd: float
+    swap: float
+    pt: float
+
+    @property
+    def combined(self) -> float:
+        return max(self.psd, self.swap, self.pt)
+
+
 @dataclass(eq=False)
 class ExtensionCertificate:
     """Solver output: candidate extension, residuals, and a verdict.
 
-    verdict is one of Feasible / InfeasibleNumerical / Inconclusive;
-    Feasible means all three residuals are at or below the requested tol.
+    verdict is one of Feasible / InfeasibleNumerical / Inconclusive.
+    residuals are the ``CertificateResiduals`` that ``verify_certificate``
+    returns for candidate at the exit, whichever rule ended the solve;
+    Feasible means their combined value is at or below the requested tol.
     stop_reason says which rule ended the solve: "tol" (Feasible), "witness"
     (InfeasibleNumerical, proved by a dual witness) or "budget"
     (Inconclusive). On a witness exit, witness holds W and witness_margin
@@ -120,30 +137,13 @@ class ExtensionCertificate:
     """
 
     candidate: np.ndarray
-    psd_residual: float
-    swap_residual: float
-    pt_residual: float
+    residuals: CertificateResiduals
     iterations: int
     verdict: str
     stop_reason: str
     history: list = field(default_factory=list)
     witness: np.ndarray = None
     witness_margin: float = None
-
-    @property
-    def combined_residual(self) -> float:
-        return max(self.psd_residual, self.swap_residual, self.pt_residual)
-
-
-@dataclass(frozen=True)
-class CertificateResiduals:
-    psd: float
-    swap: float
-    pt: float
-
-    @property
-    def combined(self) -> float:
-        return max(self.psd, self.swap, self.pt)
 
 
 @dataclass(frozen=True)
@@ -244,12 +244,6 @@ class _Geometry:
         value = 0.5 * float(w[pos] @ w[pos]) - rho_y
         return value, fr @ fr.conj().T - self.rho, f, w.max(initial=0.0) - rho_y
 
-    def residual_triple(self, m):
-        swap_res = 2.0 * linalg.hs_norm(m - self.swap_avg(m))
-        pt_res = linalg.hs_norm(self.ptrace_last(m) - self.rho)
-        wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-        return (max(0.0, -wmin), swap_res, pt_res)
-
 
 def _lbfgs_direction(grad, memory):
     """Two-loop recursion: minus the L-BFGS inverse-Hessian estimate times
@@ -305,9 +299,11 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     real for a real target, complex otherwise. Every dual evaluation,
     line-search trials included, counts against ``max_iter`` and is
     checked for both exits: a gradient norm at or below tol whose
-    candidate X(y) re-measures within tol ends the solve as Feasible, and a
-    negative free margin that ``verify_witness`` confirms for W = -y (or,
-    within a face, W = -y + c K) ends it as InfeasibleNumerical. When the
+    candidate X(y) ``verify_certificate`` re-measures within tol ends the
+    solve as Feasible, and a negative free margin that ``verify_witness``
+    confirms for W = -y (or, within a face, W = -y + c K) ends it as
+    InfeasibleNumerical. Every exit stores the residuals
+    ``verify_certificate`` returns for its candidate. When the
     budget runs out the verdict is Inconclusive, with the last candidate.
     """
     target = problem.target
@@ -316,11 +312,9 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     rho, tol = geo.rho, problem.tol
     history = []
 
-    def finish(x, verdict, iterations, stop_reason, witness=None, margin=None, residuals=None):
-        psd, swap, pt = geo.residual_triple(x) if residuals is None else residuals
-        return ExtensionCertificate(
-            x, psd, swap, pt, iterations, verdict, stop_reason, history, witness, margin
-        )
+    def finish(x, verdict, iterations, stop_reason, witness=None, margin=None):
+        return ExtensionCertificate(x, verify_certificate(x, target), iterations, verdict,
+                                    stop_reason, history, witness, margin)
 
     def candidate(f):
         x = f @ f.conj().T
@@ -346,8 +340,10 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     y0 = (2 * rho - geo.kron_eye(rho_a) / d_b) / d_b
     for k, y, accepted, value, grad, (f, free_margin) in _lbfgs(geo.dual, y0, problem.max_iter):
         grad_norm = linalg.hs_norm(grad)
-        if grad_norm <= tol and max(residuals := geo.residual_triple(x := candidate(f))) <= tol:
-            return finish(x, FEASIBLE, k, "tol", residuals=residuals)
+        if grad_norm <= tol:
+            cert = finish(candidate(f), FEASIBLE, k, "tol")
+            if cert.residuals.combined <= tol:
+                return cert
         if free_margin < 0:
             found = witness(y, free_margin)
             if found is not None:
@@ -362,9 +358,11 @@ def verify_certificate(x, target: DensityMatrix) -> CertificateResiduals:
 
     Independent of the solver: the swap residual goes through an explicit
     index permutation and the marginal through block summation, so this
-    path also validates externally supplied extensions.
+    path also validates externally supplied extensions. It decides the
+    solver's Feasible exit. A real input stays float64 (a complex one is
+    complex128), so a real candidate costs a real eigvalsh.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     d_a, d_b = target.dims
     side = d_a * d_b * d_b
     if x.shape != (side, side):
@@ -390,7 +388,9 @@ def verify_witness(w, target: DensityMatrix) -> WitnessCheck:
     lambda_min(M), M = sym(W (x) I_B'), so a margin Tr(W rho) - c below
     -error_bound proves the target rho has no symmetric extension. Only
     the Hermitian part of w is used. Independent of the solver: the lift
-    goes through np.kron and an explicit index permutation.
+    goes through np.kron and an explicit index permutation. A real w stays
+    float64 (a complex one is complex128), and the bound below holds in
+    either arithmetic.
 
     error_bound bounds the rounding error of the computed margin, with
     eps the machine epsilon and n = d_A d_B:
@@ -405,7 +405,7 @@ def verify_witness(w, target: DensityMatrix) -> WitnessCheck:
         n^2 eps ||W||_F ||rho||_F (summation bound and Cauchy-Schwarz).
     The total is eps ((side + 1) ||M||_F + n^2 ||W||_F ||rho||_F).
     """
-    w = np.asarray(w, dtype=complex)
+    w = np.asarray(w, dtype=complex if np.iscomplexobj(w) else float)
     d_a, d_b = target.dims
     n = d_a * d_b
     side = n * d_b
@@ -432,7 +432,6 @@ class ChannelTestResult:
     choi: DensityMatrix
     certificate: ExtensionCertificate
     capacity_zero_certified: bool
-    message: str
 
 
 def test_channel(
@@ -441,20 +440,12 @@ def test_channel(
     """Decide whether a channel provably has zero one-way quantum capacity.
 
     A symmetric extension of the channel's Choi state certifies zero
-    capacity; failure to find one proves nothing, so the negative branch
-    reports the test as inconclusive for capacity.
+    capacity; failure to find one proves nothing, so a False
+    capacity_zero_certified makes no claim of positive capacity.
     """
     choi = choi_from_kraus(ch).state
     cert = solve_extension(ExtensionProblem(target=choi, tol=tol, max_iter=max_iter))
-    if cert.verdict == FEASIBLE:
-        msg = "one-way capacity Q-> = 0 (certified by symmetric extension)"
-        certified = True
-    else:
-        msg = "test inconclusive for capacity (no symmetric extension found)"
-        certified = False
-    return ChannelTestResult(
-        choi=choi, certificate=cert, capacity_zero_certified=certified, message=msg
-    )
+    return ChannelTestResult(choi, cert, capacity_zero_certified=cert.verdict == FEASIBLE)
 
 
 def max_extendible_fidelity(d: int, tol: float = 5e-3) -> "SweepResult":

@@ -1,7 +1,10 @@
 """Seeded random states, channels and unitaries for batteries and tests."""
 
+import math
+
 import numpy as np
 
+from .linalg import InputError, _require_count
 from .quantum import DensityMatrix, KrausChannel
 
 __all__ = [
@@ -17,21 +20,23 @@ __all__ = [
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR."""
+    n = _require_count("dimension", n, 1)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def random_pure_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    n = _require_count("dimension", n, 1)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
 
 
 def random_density(rng: np.random.Generator, dims, rank=None) -> DensityMatrix:
     """Wishart-style random mixed state, optionally rank-limited."""
-    dims = tuple(int(d) for d in dims)
-    n = int(np.prod(dims))
-    r = n if rank is None else int(rank)
+    dims = tuple(_require_count("subsystem dimension", d, 1) for d in dims)
+    n = math.prod(dims)
+    r = n if rank is None else _require_count("rank", rank, 1)
     g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace().real, dims)
@@ -40,15 +45,15 @@ def random_density(rng: np.random.Generator, dims, rank=None) -> DensityMatrix:
 def random_product_pure(rng: np.random.Generator, dims) -> np.ndarray:
     out = np.array([1.0 + 0j])
     for d in dims:
-        out = np.kron(out, random_pure_state(rng, int(d)))
+        out = np.kron(out, random_pure_state(rng, d))
     return out
 
 
 def random_separable(rng: np.random.Generator, dims, n_terms=None) -> DensityMatrix:
     """Mixture of at most prod(dims) random product pure states."""
-    dims = tuple(int(d) for d in dims)
-    n = int(np.prod(dims))
-    k = int(n_terms) if n_terms is not None else int(rng.integers(1, n + 1))
+    dims = tuple(_require_count("subsystem dimension", d, 1) for d in dims)
+    n = math.prod(dims)
+    k = int(rng.integers(1, n + 1)) if n_terms is None else _require_count("n_terms", n_terms, 1)
     weights = rng.random(k)
     weights /= weights.sum()
     m = np.zeros((n, n), dtype=complex)
@@ -62,7 +67,7 @@ def random_entangled_pure(
     rng: np.random.Generator, dims, min_schmidt: float = 0.1
 ) -> DensityMatrix:
     """Bipartite pure state whose second Schmidt coefficient is not tiny."""
-    da, db = (int(d) for d in dims)
+    da, db = (_require_count("subsystem dimension", d, 2) for d in dims)
     while True:
         v = random_pure_state(rng, da * db)
         sv = np.linalg.svd(v.reshape(da, db), compute_uv=False)
@@ -71,7 +76,12 @@ def random_entangled_pure(
 
 
 def random_cptp(rng: np.random.Generator, d_in: int, d_out: int, n_kraus: int) -> KrausChannel:
-    """Random channel from a Haar isometry into d_out * n_kraus dimensions."""
+    """Random channel from a Haar isometry into d_out * n_kraus dimensions,
+    which must be at least d_in."""
+    d_in, d_out = _require_count("d_in", d_in, 1), _require_count("d_out", d_out, 1)
+    n_kraus = _require_count("n_kraus", n_kraus, 1)
+    if d_out * n_kraus < d_in:
+        raise InputError(f"d_out * n_kraus = {d_out * n_kraus} is below d_in = {d_in}")
     a = rng.standard_normal((d_out * n_kraus, d_in)) + 1j * rng.standard_normal(
         (d_out * n_kraus, d_in)
     )

@@ -15,6 +15,9 @@ from symext.constructions import example_state, isotropic
 from symext.quantum import max_entangled_projector
 from symext.sampling import random_entangled_pure
 
+CERTIFIED = "one-way capacity Q-> = 0 (certified by symmetric extension)"
+NOT_CERTIFIED = "test inconclusive for capacity (no symmetric extension found)"
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload) + "\n")
@@ -101,8 +104,9 @@ def test_cmd_test_feasible_state(tmp_path, capsys):
     code = main(["test", str(infile), str(report)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "Feasible" in out and "Q-> = 0" in out
+    assert "Feasible" in out and out.splitlines()[-1] == CERTIFIED
     payload = json.loads(report.read_text())
+    assert payload["capacity"] == CERTIFIED
     assert payload["verdict"] == "Feasible"
     assert payload["extension"]["dims"] == [3, 3, 3]
     assert max(
@@ -110,10 +114,11 @@ def test_cmd_test_feasible_state(tmp_path, capsys):
     ) <= 1e-7
 
 
-def test_cmd_test_infeasible_state(tmp_path):
+def test_cmd_test_infeasible_state(tmp_path, capsys):
     infile = tmp_path / "state.json"
     write_json(infile, state_to_payload(isotropic(2, 0.9)))
     assert main(["test", str(infile)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == NOT_CERTIFIED
 
 
 def test_cmd_test_witness_report(tmp_path, capsys):
@@ -219,10 +224,20 @@ def test_cmd_test_channel_file(tmp_path, capsys):
         infile,
         {"d_in": 2, "d_out": 2, "kraus": [encode_matrix(k) for k in ch.kraus]},
     )
-    code = main(["test", str(infile)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "capacity" in out
+    report = tmp_path / "report.json"
+    assert main(["test", str(infile), str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == CERTIFIED
+    # a channel file runs the solve of its Choi state file: same report
+    choi, choi_report = tmp_path / "choi.json", tmp_path / "choi_report.json"
+    assert main(["choi", str(infile), str(choi)]) == 0
+    assert main(["test", str(choi), str(choi_report)]) == 0
+    assert json.loads(report.read_text()) == json.loads(choi_report.read_text())
+
+    write_json(infile, identity_channel_payload())
+    capsys.readouterr()
+    assert main(["test", str(infile), str(report)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == NOT_CERTIFIED
+    assert json.loads(report.read_text())["capacity"] == NOT_CERTIFIED
 
 
 def test_cmd_test_malformed_input(tmp_path, capsys):

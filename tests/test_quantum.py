@@ -22,7 +22,13 @@ from symext.quantum import (
     twirl_isotropic,
     von_neumann_entropy,
 )
-from symext.sampling import random_cptp, random_density, random_unitary
+from symext.sampling import (
+    random_cptp,
+    random_density,
+    random_entangled_pure,
+    random_separable,
+    random_unitary,
+)
 
 
 def identity_channel(d=2):
@@ -65,6 +71,28 @@ def test_kraus_channel_completeness_enforced():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="NaN or Inf"):
                 KrausChannel(2, 2, (np.diag([1.0, bad]),))
+
+
+def test_sampling_counts_are_integers():
+    # no count is truncated: (2.5, 2) used to draw a 2 x 2 state
+    rng = np.random.default_rng(0)
+    for make, match in [
+        (lambda: random_density(rng, (2.5, 2)), "subsystem dimension must be an integer"),
+        (lambda: random_density(rng, (2, 2), rank=2.5), "rank must be an integer"),
+        (lambda: random_separable(rng, (2, 2.0)), "subsystem dimension must be an integer"),
+        (lambda: random_separable(rng, (2, 2), n_terms=3.7), "n_terms must be an integer"),
+        (lambda: random_entangled_pure(rng, (2.5, 2)), "subsystem dimension must be an integer"),
+        (lambda: random_entangled_pure(rng, (1, 2)), "at least 2"),
+        (lambda: random_unitary(rng, 2.0), "dimension must be an integer"),
+        (lambda: random_cptp(rng, 2.0, 2, 1), "d_in must be an integer"),
+        (lambda: random_cptp(rng, 2, 2, 1.5), "n_kraus must be an integer"),
+        # a Stinespring isometry of C^3 needs d_out * n_kraus >= 3
+        (lambda: random_cptp(rng, 3, 2, 1), r"d_out \* n_kraus = 2 is below d_in = 3"),
+    ]:
+        with pytest.raises(linalg.InputError, match=match):
+            make()
+    assert random_density(rng, (np.int64(2), 3), rank=np.int64(2)).dims == (2, 3)
+    assert random_cptp(rng, 3, 2, 2).d_in == 3
 
 
 def test_choi_identity_channel():
