@@ -7,7 +7,6 @@ symmetrically extendible set.
 """
 
 from .constructions import (
-    ExampleFamilyParams,
     boundary_isotropic_extension,
     example_extension,
     example_state,
@@ -16,6 +15,7 @@ from .constructions import (
     isotropic,
     isotropic_boundary_fidelity,
     rank1_extension_state,
+    twirl_isotropic,
 )
 from .extend import (
     FEASIBLE,
@@ -58,7 +58,6 @@ from .quantum import (
     max_entangled_projector,
     negativity,
     relative_entropy,
-    twirl_isotropic,
     von_neumann_entropy,
 )
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import linalg
 from .constructions import (
-    ExampleFamilyParams,
     boundary_isotropic_extension,
     example_extension,
     example_state,
@@ -62,12 +61,9 @@ def _extension_reduction(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for f in (0.1, 0.3, 0.5):
-        splits = [None]
-        for _ in range(5):
-            lam2 = rng.uniform(0.0, (1.0 - 2.0 * f) / 3.0)
-            splits.append(((1.0 - f) / 3.0 - lam2, lam2))
-        for overrides in splits:
-            ext = example_extension(ExampleFamilyParams(f, overrides))
+        splits = [None] + [rng.uniform(0.0, (1.0 - 2.0 * f) / 3.0) for _ in range(5)]
+        for lam2 in splits:
+            ext = example_extension(f, lam2)
             res = verify_certificate(ext, example_state(f))
             worst = max(worst, res.combined)
     return f"{worst:.2e}", worst <= 1e-12
@@ -75,7 +71,7 @@ def _extension_reduction(seed):
 
 def _extension_psd_boundary():
     def negative(f):
-        ext = example_extension(ExampleFamilyParams(f), validate=False)
+        ext = example_extension(f, validate=False)
         return float(np.linalg.eigvalsh(ext).min()) < -1e-12
 
     lo, hi = 0.4, 0.6

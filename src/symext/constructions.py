@@ -7,21 +7,20 @@ A (x) B (x) B' order where the exchange symmetry acts on factors 1 and 2.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .quantum import DensityMatrix, max_entangled_projector
+from .quantum import DensityMatrix, fidelity_maxent, max_entangled_projector
 
 __all__ = [
     "example_state",
     "filtered_state",
-    "ExampleFamilyParams",
     "example_extension",
     "rank1_extension_state",
     "generalized_rank1_state",
     "isotropic",
+    "twirl_isotropic",
     "isotropic_boundary_fidelity",
     "boundary_isotropic_extension",
 ]
@@ -44,9 +43,7 @@ def _proj(vec: np.ndarray) -> np.ndarray:
 
 def example_state(fidelity: float) -> DensityMatrix:
     """Rank-four 3x3 family: F P+ + (1-F)/3 (|01><01| + |20><20| + |21><21|)."""
-    f = float(fidelity)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity must be in [0, 1], got {f}")
+    f = linalg._require_fraction("fidelity", fidelity)
     dims = (3, 3)
     m = f * max_entangled_projector(3)
     for a, b in ((0, 1), (2, 0), (2, 1)):
@@ -59,59 +56,14 @@ def filtered_state(fidelity: float) -> DensityMatrix:
 
     The filter is diag(1, 1/sqrt(F), 1/sqrt(2-F)); F = 0 makes it singular.
     """
-    f = float(fidelity)
-    if not 0.0 < f <= 1.0:
-        raise ValueError(f"fidelity must be in (0, 1], got {f}")
+    f = linalg._require_fraction("fidelity", fidelity)
+    if f == 0.0:
+        raise linalg.InputError("fidelity must be in (0, 1], got 0.0: the filter is singular")
     w = np.diag([1.0, 1.0 / np.sqrt(f), 1.0 / np.sqrt(2.0 - f)]).astype(complex)
     op = np.kron(w, np.eye(3))
     m = op @ example_state(f).matrix @ op.conj().T
     m /= m.trace().real
     return DensityMatrix(m, (3, 3))
-
-
-@dataclass(frozen=True)
-class ExampleFamilyParams:
-    """Eigenvalue split for the example family's tripartite extension.
-
-    The six eigenvector weights obey two reduction constraints,
-    lam0 + lam4 = (1-F)/3 and lam2 + lam5 = (1-2F)/3, and the exchange
-    symmetry of the extension forces lam2 = lam4. That leaves one free
-    split, expressed here through the pair (lam0, lam2) with
-    lam0 + lam2 = (1-F)/3.
-    """
-
-    fidelity: float
-    lambda_overrides: tuple = None
-
-    def weights(self) -> tuple:
-        """Return (lam0, ..., lam5), defaulting to lam2 = (1-2F)/6."""
-        f = float(self.fidelity)
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"fidelity must be in [0, 1], got {f}")
-        lam1 = f / 3.0
-        lam3 = (1.0 - 2.0 * f) / 3.0
-        if self.lambda_overrides is None:
-            lam2 = (1.0 - 2.0 * f) / 6.0
-            lam0 = (1.0 - f) / 3.0 - lam2
-        else:
-            lam0, lam2 = (float(v) for v in self.lambda_overrides)
-            if not -1e-12 <= lam0 <= (1.0 - f) / 3.0 + 1e-12:
-                raise ValueError(
-                    f"lam0={lam0} outside [0, (1-F)/3] = [0, {(1 - f) / 3:.6f}]"
-                )
-            if not -1e-12 <= lam2 <= (1.0 - 2.0 * f) / 3.0 + 1e-12:
-                raise ValueError(
-                    f"lam2={lam2} outside [0, (1-2F)/3] = [0, {(1 - 2 * f) / 3:.6f}]"
-                )
-            if abs(lam0 + lam2 - (1.0 - f) / 3.0) > 1e-12:
-                raise ValueError(
-                    "lam0 + lam2 must equal (1-F)/3: the exchange symmetry of "
-                    "the extension ties the two reduction splits together "
-                    f"(got {lam0 + lam2:.6f}, need {(1 - f) / 3:.6f})"
-                )
-        lam4 = (1.0 - f) / 3.0 - lam0
-        lam5 = (1.0 - 2.0 * f) / 3.0 - lam2
-        return (lam0, lam1, lam2, lam3, lam4, lam5)
 
 
 def _extension_vectors() -> tuple:
@@ -134,19 +86,27 @@ def _extension_vectors() -> tuple:
     )
 
 
-def example_extension(params: ExampleFamilyParams, validate: bool = True) -> np.ndarray:
+def example_extension(fidelity: float, lam2: float = None, validate: bool = True) -> np.ndarray:
     """Tripartite extension of the example state, on canonical A (x) B (x) B'.
 
-    The weight on the unnormalized five-term vector is F/3, which is what
-    makes the total trace one and the first-factor reduction reproduce the
-    example state. PSD requires F <= 1/2; pass validate=False to build the
-    (indefinite) matrix beyond that point.
+    The six eigenvector weights obey two reduction constraints,
+    lam0 + lam4 = (1-F)/3 and lam2 + lam5 = (1-2F)/3, and the exchange
+    symmetry of the extension forces lam2 = lam4. That leaves lam2 in
+    [0, (1-2F)/3] as the one free choice, by default (1-2F)/6. The weight on
+    the unnormalized five-term vector is F/3, which is what makes the total
+    trace one and the first-factor reduction reproduce the example state.
+    PSD requires F <= 1/2; pass validate=False to build the (indefinite)
+    matrix beyond that point.
     """
-    lams = params.weights()
-    if validate and params.fidelity > 0.5 + 1e-12:
-        raise ValueError(
-            f"extension is not PSD for F > 1/2 (got F = {params.fidelity})"
-        )
+    f = linalg._require_fraction("fidelity", fidelity)
+    if validate and f > 0.5 + 1e-12:
+        raise linalg.InputError(f"extension is not PSD for F > 1/2 (got F = {f})")
+    lam3 = (1.0 - 2.0 * f) / 3.0
+    if lam2 is None:
+        lam2 = lam3 / 2.0
+    elif not -1e-12 <= lam2 <= lam3 + 1e-12:
+        raise linalg.InputError(f"lam2={lam2} outside [0, (1-2F)/3] = [0, {lam3:.6f}]")
+    lams = ((1.0 - f) / 3.0 - lam2, f / 3.0, lam2, lam3, lam2, lam3 - lam2)
     m = np.zeros((27, 27), dtype=complex)
     for lam, vec in zip(lams, _extension_vectors()):
         m += lam * _proj(vec)
@@ -177,12 +137,16 @@ def generalized_rank1_state(d: int) -> DensityMatrix:
 def isotropic(d: int, fidelity: float) -> DensityMatrix:
     """Isotropic state with the given overlap on the maximally entangled state."""
     d = linalg._require_count("dimension", d, 2)
-    f = float(fidelity)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity must be in [0, 1], got {f}")
+    f = linalg._require_fraction("fidelity", fidelity)
     p = max_entangled_projector(d)
     m = d**2 / (d**2 - 1) * ((1.0 - f) * np.eye(d * d) / d**2 + (f - 1.0 / d**2) * p)
     return DensityMatrix(m, (d, d))
+
+
+def twirl_isotropic(rho: DensityMatrix) -> DensityMatrix:
+    """Average over U (x) U*: the isotropic state of the same fidelity, which
+    is clamped to [0, 1] because rounding can put it a few ulps outside."""
+    return isotropic(rho.dims[0], min(max(fidelity_maxent(rho), 0.0), 1.0))
 
 
 def isotropic_boundary_fidelity(d: int) -> float:

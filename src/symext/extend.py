@@ -59,7 +59,7 @@ import numpy as np
 
 from . import linalg
 from .constructions import isotropic
-from .linalg import InputError, _require_count, _require_tol
+from .linalg import InputError, _require_bipartite, _require_count, _require_tol
 from .quantum import DensityMatrix, KrausChannel, apply_channel, choi_from_kraus
 
 FEASIBLE = "Feasible"
@@ -98,8 +98,7 @@ class ExtensionProblem:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if len(self.target.dims) != 2:
-            raise InputError(f"target must be bipartite (two subsystems), got {self.target.dims}")
+        _require_bipartite(self.target.dims)
         _require_tol("tol", self.tol)
         _require_count("max_iter", self.max_iter, 1)
 

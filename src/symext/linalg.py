@@ -29,8 +29,9 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 class InputError(ValueError):
     """An argument that breaks a documented rule of the library: a dimension
-    or count, a tolerance, an extension side, a bipartite target or a range.
-    Faults found inside a computation are never InputError."""
+    or count, a tolerance, an extension side, a bipartite state, a [0, 1]
+    parameter or a range. Faults found inside a computation are never
+    InputError."""
 
 
 def _require_count(name, value, least) -> int:
@@ -40,6 +41,21 @@ def _require_count(name, value, least) -> int:
             and value >= least):
         raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
+
+
+def _require_fraction(name, value) -> float:
+    """Return a real number in [0, 1] as a float; anything else, NaN, a bool,
+    a string or a complex number included, is an InputError."""
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and 0 <= value <= 1):
+        raise InputError(f"{name} must be a real number in [0, 1], got {value!r}")
+    return float(value)
+
+
+def _require_bipartite(dims) -> None:
+    """Reject dims that do not name exactly two subsystems."""
+    if len(dims) != 2:
+        raise InputError(f"state must be bipartite (two subsystems), got dims {dims}")
 
 
 def _require_tol(name, value) -> None:

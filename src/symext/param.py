@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .extend import FEASIBLE, ExtensionProblem, _Geometry, _lbfgs, solve_extension
-from .linalg import InputError, _require_count, _require_tol
+from .linalg import InputError, _require_bipartite, _require_count, _require_tol
 from .quantum import (
     LOG_FLOOR,
     DensityMatrix,
@@ -88,8 +88,7 @@ def _grad_and_value(rho: np.ndarray, sigma: np.ndarray, c_rho: float):
 def _distance_geometry(rho: DensityMatrix, max_iter, gap_tol):
     """The distance's argument rules, all checked before any work: returns
     the state's extension geometry and the scale of the distance."""
-    if len(rho.dims) != 2:
-        raise InputError(f"state must be bipartite (two subsystems), got dims {rho.dims}")
+    _require_bipartite(rho.dims)
     _require_count("max_iter", max_iter, 1)
     _require_tol("gap_tol", gap_tol)
     return _Geometry(rho.dims), normalization_factor(max(rho.dims))
@@ -240,7 +239,7 @@ def two_copy_estimate(rho: DensityMatrix) -> ParamResult:
     the exact single-copy value; it can exceed the single-copy value itself.
     """
     if rho.dims != (2, 2):
-        raise ValueError(f"two-copy probe needs a 2 x 2 state, got dims {rho.dims}")
+        raise InputError(f"two-copy probe needs a 2 x 2 state, got dims {rho.dims}")
     doubled = np.kron(rho.matrix, rho.matrix)
     regrouped = linalg.permute_systems(doubled, (2, 2, 2, 2), (0, 2, 1, 3))
     return distance_to_extendible(DensityMatrix(regrouped, (4, 4)))

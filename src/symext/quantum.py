@@ -26,7 +26,6 @@ __all__ = [
     "coherent_information",
     "fidelity_maxent",
     "negativity",
-    "twirl_isotropic",
 ]
 
 
@@ -100,8 +99,7 @@ class ChoiState:
     state: DensityMatrix
 
     def __post_init__(self):
-        if len(self.state.dims) != 2:
-            raise ValueError(f"Choi state needs two factors, got dims {self.state.dims}")
+        linalg._require_bipartite(self.state.dims)
         d_in = self.state.dims[0]
         marg = linalg.partial_trace(self.state.matrix, self.state.dims, keep={0})
         res = linalg.hs_norm(marg - np.eye(d_in) / d_in)
@@ -182,8 +180,7 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix, which=None) -> DensityMa
 def depolarizing_channel(d: int, p: float) -> KrausChannel:
     """Channel rho -> (1-p) rho + p I/d via the Heisenberg-Weyl basis."""
     d = linalg._require_count("dimension", d, 2)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    p = linalg._require_fraction("p", p)
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
@@ -222,8 +219,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def coherent_information(rho: DensityMatrix) -> float:
     """S(rho_B) - S(rho_AB) for a bipartite state, in bits."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"state must be bipartite, got dims {rho.dims}")
+    linalg._require_bipartite(rho.dims)
     rho_b = DensityMatrix(
         linalg.partial_trace(rho.matrix, rho.dims, keep={1}), (rho.dims[1],)
     )
@@ -233,24 +229,15 @@ def coherent_information(rho: DensityMatrix) -> float:
 def fidelity_maxent(rho: DensityMatrix) -> float:
     """Overlap with the maximally entangled state on equal local dimensions."""
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise ValueError(f"state must live on d x d, got dims {rho.dims}")
+        raise linalg.InputError(f"state must live on d x d, got dims {rho.dims}")
     p = max_entangled_projector(rho.dims[0])
     return float(np.real(linalg.hs_inner(p, rho.matrix)))
 
 
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"state must be bipartite, got dims {rho.dims}")
+    linalg._require_bipartite(rho.dims)
     pt = linalg.partial_transpose(rho.matrix, rho.dims, 1)
     w = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
     return float(np.sum(-w[w < 0]))
 
-
-def twirl_isotropic(rho: DensityMatrix) -> DensityMatrix:
-    """Average over U (x) U*, in closed form via the preserved fidelity."""
-    f = fidelity_maxent(rho)
-    d = rho.dims[0]
-    p = max_entangled_projector(d)
-    out = f * p + (1.0 - f) * (np.eye(d * d) - p) / (d * d - 1)
-    return DensityMatrix(out, (d, d))

@@ -63,15 +63,13 @@ def random_separable(rng: np.random.Generator, dims, n_terms=None) -> DensityMat
     return DensityMatrix(m, dims)
 
 
-def random_entangled_pure(
-    rng: np.random.Generator, dims, min_schmidt: float = 0.1
-) -> DensityMatrix:
+def random_entangled_pure(rng: np.random.Generator, dims) -> DensityMatrix:
     """Bipartite pure state whose second Schmidt coefficient is not tiny."""
     da, db = (_require_count("subsystem dimension", d, 2) for d in dims)
     while True:
         v = random_pure_state(rng, da * db)
         sv = np.linalg.svd(v.reshape(da, db), compute_uv=False)
-        if sv[1] >= min_schmidt:
+        if sv[1] >= 0.1:
             return DensityMatrix(np.outer(v, v.conj()), (da, db))
 
 

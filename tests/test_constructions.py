@@ -3,7 +3,6 @@ import pytest
 
 from symext import linalg
 from symext.constructions import (
-    ExampleFamilyParams,
     boundary_isotropic_extension,
     example_extension,
     example_state,
@@ -12,14 +11,10 @@ from symext.constructions import (
     isotropic,
     isotropic_boundary_fidelity,
     rank1_extension_state,
-)
-from symext.extend import FEASIBLE, ExtensionProblem, solve_extension, verify_certificate
-from symext.quantum import (
-    DensityMatrix,
-    fidelity_maxent,
-    max_entangled_projector,
     twirl_isotropic,
 )
+from symext.extend import FEASIBLE, ExtensionProblem, solve_extension, verify_certificate
+from symext.quantum import DensityMatrix, fidelity_maxent, max_entangled_projector
 
 
 def ket(dims, *idx):
@@ -76,26 +71,16 @@ def test_filtered_state_first_marginal_maximally_mixed():
 
 
 def test_family_params_validation():
-    with pytest.raises(ValueError, match="lam0"):
-        ExampleFamilyParams(0.3, (0.9, 0.01)).weights()
-    with pytest.raises(ValueError, match="lam2"):
-        ExampleFamilyParams(0.3, (0.2, 0.5)).weights()
-    with pytest.raises(ValueError, match="exchange symmetry"):
-        ExampleFamilyParams(0.3, (0.1, 0.1)).weights()
-    lams = ExampleFamilyParams(0.3).weights()
-    assert sum(lams) + 4 * lams[1] == pytest.approx(1.0)  # unnormalized vector
-    assert lams[2] == pytest.approx(lams[4], abs=1e-15)
+    with pytest.raises(linalg.InputError, match="lam2"):
+        example_extension(0.3, 0.5)
 
 
 def test_extension_reduces_and_is_swap_invariant():
     rng = np.random.default_rng(42)
     for f in np.linspace(0.0, 0.5, 20):
-        splits = [None]
-        for _ in range(5):
-            lam2 = rng.uniform(0.0, (1 - 2 * f) / 3)
-            splits.append(((1 - f) / 3 - lam2, lam2))
-        for overrides in splits:
-            ext = example_extension(ExampleFamilyParams(f, overrides))
+        splits = [None] + [rng.uniform(0.0, (1 - 2 * f) / 3) for _ in range(5)]
+        for lam2 in splits:
+            ext = example_extension(f, lam2)
             red = linalg.partial_trace(ext, (3, 3, 3), keep={0, 1})
             assert np.abs(red - example_state(f).matrix).max() <= 1e-12
             swapped = linalg.permute_systems(ext, (3, 3, 3), (0, 2, 1))
@@ -104,17 +89,17 @@ def test_extension_reduces_and_is_swap_invariant():
 
 
 def test_extension_psd_range():
-    ext = example_extension(ExampleFamilyParams(0.5))
+    ext = example_extension(0.5)
     assert np.linalg.eigvalsh(ext).min() >= -1e-14
-    with pytest.raises(ValueError, match="PSD"):
-        example_extension(ExampleFamilyParams(0.6))
-    unchecked = example_extension(ExampleFamilyParams(0.6), validate=False)
+    with pytest.raises(linalg.InputError, match="PSD"):
+        example_extension(0.6)
+    unchecked = example_extension(0.6, validate=False)
     assert np.linalg.eigvalsh(unchecked).min() < -1e-3
 
 
 def test_extension_min_eigenvalue_sign_change_at_half():
     def negative(f):
-        ext = example_extension(ExampleFamilyParams(f), validate=False)
+        ext = example_extension(f, validate=False)
         return np.linalg.eigvalsh(ext).min() < -1e-12
 
     lo, hi = 0.4, 0.6

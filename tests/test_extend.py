@@ -5,7 +5,6 @@ import pytest
 
 from symext import extend, linalg
 from symext.constructions import (
-    ExampleFamilyParams,
     boundary_isotropic_extension,
     example_extension,
     example_state,
@@ -32,11 +31,16 @@ from symext.extend import (
     verify_witness,
 )
 from symext.extend import test_channel as channel_capacity_test
+from symext.param import two_copy_estimate
 from symext.quantum import (
+    ChoiState,
     DensityMatrix,
     KrausChannel,
+    coherent_information,
     depolarizing_channel,
+    fidelity_maxent,
     max_entangled_projector,
+    negativity,
 )
 from symext.sampling import (
     random_density,
@@ -345,7 +349,7 @@ def test_feasible_certificates_verify_independently():
 
 
 def test_verify_certificate_on_analytic_extensions():
-    ext = example_extension(ExampleFamilyParams(0.3))
+    ext = example_extension(0.3)
     res = verify_certificate(ext, example_state(0.3))
     assert res.combined <= 1e-12
 
@@ -540,14 +544,32 @@ def test_argument_rules_raise_input_error():
     assert not issubclass(np.linalg.LinAlgError, linalg.InputError)
     rng = np.random.default_rng(0)
     target = random_density(rng, (2, 2))
+    tripartite = random_density(rng, (2, 2, 2))
     for call in (
-        lambda: ExtensionProblem(target=random_density(rng, (2, 2, 2))),
+        lambda: ExtensionProblem(target=tripartite),
         lambda: ExtensionProblem(target=target, tol=float("inf")),
         lambda: ExtensionProblem(target=target, max_iter=0),
         lambda: solve_extension(ExtensionProblem(target=random_density(rng, (9, 12)))),
         lambda: run_isotropic_sweep(2, 0.8, 0.7, 3),
         lambda: run_isotropic_sweep(2, 0.7, 0.8, 0),
         lambda: max_extendible_fidelity(2, float("inf")),
+        # the [0, 1] parameter rule: out of range, NaN, bool, string, complex
+        lambda: isotropic(2, 1.5),
+        lambda: isotropic(2, float("nan")),
+        lambda: isotropic(2, True),
+        lambda: isotropic(2, "0.5"),
+        lambda: isotropic(2, 0.5 + 0j),
+        lambda: example_state(1.2),
+        lambda: filtered_state(0.0),
+        lambda: depolarizing_channel(2, 1.2),
+        lambda: example_extension(0.3, 0.5),
+        lambda: example_extension(0.6),
+        # the bipartite rule and the shape rules of the functionals
+        lambda: negativity(tripartite),
+        lambda: coherent_information(tripartite),
+        lambda: ChoiState(tripartite),
+        lambda: fidelity_maxent(random_density(rng, (2, 3))),
+        lambda: two_copy_estimate(random_density(rng, (3, 3))),
     ):
         with pytest.raises(linalg.InputError):
             call()

@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import symext
 from symext import linalg
 from symext.quantum import max_entangled_projector
 
@@ -167,3 +171,11 @@ def test_hs_norm_and_inner():
     v = linalg.swap_operator((2, 2), 0, 1)
     assert abs(linalg.hs_inner(max_entangled_projector(2), v) - 1.0) <= 1e-12
 
+
+
+def test_public_names_resolve():
+    # every name a module exports must exist in it
+    for info in pkgutil.iter_modules(symext.__path__):
+        module = importlib.import_module(f"symext.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symext import linalg
-from symext.constructions import example_state, isotropic
+from symext.constructions import example_state, isotropic, twirl_isotropic
 from symext.quantum import (
     ChoiState,
     DensityMatrix,
@@ -19,7 +19,6 @@ from symext.quantum import (
     max_entangled_projector,
     negativity,
     relative_entropy,
-    twirl_isotropic,
     von_neumann_entropy,
 )
 from symext.sampling import (
@@ -309,6 +308,27 @@ def test_twirl_isotropic():
     assert np.allclose(twirl_isotropic(pplus).matrix, pplus.matrix, atol=1e-12)
     out = twirl_isotropic(example_state(0.5))
     assert np.allclose(out.matrix, isotropic(3, 0.5).matrix, atol=1e-12)
+
+
+def test_twirl_clamps_rounded_fidelity():
+    # U (x) U* fixes |phi> and maps |01> into its complement, so the overlap
+    # is exactly 1 or 0 and rounding puts many draws a few ulps outside
+    # [0, 1]; the twirl clamps it and matches the direct formula to 1e-15
+    rng = np.random.default_rng(31)
+    outside = 0
+    for d in (2, 3, 4):
+        e = np.eye(d)
+        p = max_entangled_projector(d)
+        for v in (np.kron(e[0], e[1]), e.reshape(-1) / np.sqrt(d)):
+            for _ in range(50):
+                u = random_unitary(rng, d)
+                w = np.kron(u, u.conj()) @ v
+                rho = DensityMatrix(np.outer(w, w.conj()), (d, d))
+                f = fidelity_maxent(rho)
+                outside += not 0.0 <= f <= 1.0
+                direct = f * p + (1.0 - f) * (np.eye(d * d) - p) / (d * d - 1)
+                assert np.abs(twirl_isotropic(rho).matrix - direct).max() <= 1e-15
+    assert outside > 0
 
 
 def test_twirl_preserves_fidelity_and_local_invariance():
