@@ -22,7 +22,6 @@ from .extend import (
     INCONCLUSIVE,
     INFEASIBLE_NUMERICAL,
     CertificateResiduals,
-    ChannelTestResult,
     ExtensionCertificate,
     ExtensionProblem,
     MapClosureRecord,
@@ -32,7 +31,6 @@ from .extend import (
     max_extendible_fidelity,
     run_isotropic_sweep,
     solve_extension,
-    test_channel,
     verify_certificate,
 )
 from .linalg import InputError

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .constructions import (
     boundary_isotropic_extension,
     example_extension,
@@ -189,7 +188,7 @@ def _battery_gradient(seed):
         direction /= np.linalg.norm(direction)
         c_rho = -von_neumann_entropy(state)
         _, grad = _grad_and_value(rho, sigma, c_rho)
-        analytic = float(np.real(linalg.hs_inner(grad, direction)))
+        analytic = float(np.vdot(grad, direction).real)
         eps = 1e-5
         f_plus, _ = _grad_and_value(rho, sigma + eps * direction, c_rho)
         f_minus, _ = _grad_and_value(rho, sigma - eps * direction, c_rho)

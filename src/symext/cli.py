@@ -102,10 +102,11 @@ def _load_json(path: str):
         raise InputError(f"'{path}' is not valid JSON: {exc}")
 
 
-def _load_state_or_channel(path: str):
+def _load_target(path: str) -> DensityMatrix:
+    """The state a test file names: the state itself, or a channel's Choi state."""
     payload = _load_json(path)
     if isinstance(payload, dict) and "kraus" in payload:
-        return channel_from_payload(payload)
+        return choi_from_kraus(channel_from_payload(payload)).state
     return state_from_payload(payload)
 
 
@@ -131,9 +132,7 @@ def cmd_choi(args) -> int:
 
 def cmd_test(args) -> int:
     _require_positive(args, "tol", "max_iter")
-    state = _load_state_or_channel(args.input_file)
-    if isinstance(state, KrausChannel):
-        state = choi_from_kraus(state).state
+    state = _load_target(args.input_file)
     cert = solve_extension(ExtensionProblem(target=state, tol=args.tol, max_iter=args.max_iter))
     if cert.verdict == FEASIBLE:
         capacity = "one-way capacity Q-> = 0 (certified by symmetric extension)"

@@ -104,8 +104,8 @@ def example_extension(fidelity: float, lam2: float = None, validate: bool = True
     lam3 = (1.0 - 2.0 * f) / 3.0
     if lam2 is None:
         lam2 = lam3 / 2.0
-    elif not -1e-12 <= lam2 <= lam3 + 1e-12:
-        raise linalg.InputError(f"lam2={lam2} outside [0, (1-2F)/3] = [0, {lam3:.6f}]")
+    elif not (linalg._is_real(lam2) and -1e-12 <= lam2 <= lam3 + 1e-12):
+        raise linalg.InputError(f"lam2={lam2!r} outside [0, (1-2F)/3] = [0, {lam3:.6f}]")
     lams = ((1.0 - f) / 3.0 - lam2, f / 3.0, lam2, lam3, lam2, lam3 - lam2)
     m = np.zeros((27, 27), dtype=complex)
     for lam, vec in zip(lams, _extension_vectors()):

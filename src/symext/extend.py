@@ -59,8 +59,8 @@ import numpy as np
 
 from . import linalg
 from .constructions import isotropic
-from .linalg import InputError, _require_bipartite, _require_count, _require_tol
-from .quantum import DensityMatrix, KrausChannel, apply_channel, choi_from_kraus
+from .linalg import InputError, _require_bipartite, _require_count, _require_fraction, _require_tol
+from .quantum import DensityMatrix, KrausChannel, apply_channel
 
 FEASIBLE = "Feasible"
 INFEASIBLE_NUMERICAL = "InfeasibleNumerical"
@@ -80,8 +80,6 @@ __all__ = [
     "solve_extension",
     "verify_certificate",
     "verify_witness",
-    "ChannelTestResult",
-    "test_channel",
     "max_extendible_fidelity",
     "MapClosureRecord",
     "bob_side_map_preserves",
@@ -193,7 +191,7 @@ class _Geometry:
         if supp.shape[1] == self.d_ab:
             return
         supp_proj = supp @ supp.conj().T
-        wt, ut = np.linalg.eigh(self.swap_avg(self.kron_eye(supp_proj)))
+        wt, ut = np.linalg.eigh(self.lift(supp_proj))
         self.basis = ut[:, wt > 1.0 - 5e-10]
         ker = np.eye(self.d_ab) - supp_proj
         self.ker = (ker + ker.conj().T) / 2
@@ -239,7 +237,7 @@ class _Geometry:
         f = u[:, pos] * np.sqrt(w[pos])
         f = f if b is None else b @ f
         fr = f.reshape(self.d_ab, -1)
-        rho_y = linalg.hs_inner(self.rho, y).real
+        rho_y = float(np.vdot(self.rho, y).real)
         value = 0.5 * float(w[pos] @ w[pos]) - rho_y
         return value, fr @ fr.conj().T - self.rho, f, w.max(initial=0.0) - rho_y
 
@@ -250,13 +248,13 @@ def _lbfgs_direction(grad, memory):
     q = grad.copy()
     alphas = []
     for s, g_diff, r in reversed(memory):
-        alphas.append(r * linalg.hs_inner(s, q).real)
+        alphas.append(r * np.vdot(s, q).real)
         q -= alphas[-1] * g_diff
     if memory:
         s, g_diff, _ = memory[-1]
-        q *= linalg.hs_inner(s, g_diff).real / linalg.hs_inner(g_diff, g_diff).real
+        q *= np.vdot(s, g_diff).real / np.vdot(g_diff, g_diff).real
     for (s, g_diff, r), a in zip(memory, reversed(alphas)):
-        q += (a - r * linalg.hs_inner(g_diff, q).real) * s
+        q += (a - r * np.vdot(g_diff, q).real) * s
     return -q
 
 
@@ -277,15 +275,15 @@ def _lbfgs(evaluate, x0, max_iter):
         else:
             if k > 1:
                 s, g_diff = trial - x, trial_grad - grad
-                curvature = linalg.hs_inner(s, g_diff).real
+                curvature = np.vdot(s, g_diff).real
                 if curvature > 0:
                     memory.append((s, g_diff, 1.0 / curvature))
             x, value, grad = trial, trial_value, trial_grad
             direction = _lbfgs_direction(grad, memory)
-            t, slope = 1.0, linalg.hs_inner(grad, direction).real
+            t, slope = 1.0, np.vdot(grad, direction).real
             if slope >= 0:  # not a descent direction: restart along -grad
                 memory.clear()
-                direction, slope = -grad, -linalg.hs_norm(grad) ** 2
+                direction, slope = -grad, -np.linalg.norm(grad) ** 2
         trial = x + t * direction
 
 
@@ -328,7 +326,7 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
         # try can confirm. Doubling c from ||y|| is large enough to push
         # lambda_min onto range P, small enough to keep the bound below the margin.
         if geo.ker is not None and free_margin < -check.error_bound:
-            c = linalg.hs_norm(y)
+            c = np.linalg.norm(y)
             for j in range(30):
                 check = verify_witness(w_op := -y + c * 2.0**j * geo.ker, target)
                 if check.certified:
@@ -338,7 +336,7 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     rho_a = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
     y0 = (2 * rho - geo.kron_eye(rho_a) / d_b) / d_b
     for k, y, accepted, value, grad, (f, free_margin) in _lbfgs(geo.dual, y0, problem.max_iter):
-        grad_norm = linalg.hs_norm(grad)
+        grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
             cert = finish(candidate(f), FEASIBLE, k, "tol")
             if cert.residuals.combined <= tol:
@@ -426,27 +424,6 @@ def verify_witness(w, target: DensityMatrix) -> WitnessCheck:
     return WitnessCheck(margin=value - c, error_bound=bound)
 
 
-@dataclass(eq=False)
-class ChannelTestResult:
-    choi: DensityMatrix
-    certificate: ExtensionCertificate
-    capacity_zero_certified: bool
-
-
-def test_channel(
-    ch: KrausChannel, tol: float = ExtensionProblem.tol, max_iter: int = ExtensionProblem.max_iter
-) -> ChannelTestResult:
-    """Decide whether a channel provably has zero one-way quantum capacity.
-
-    A symmetric extension of the channel's Choi state certifies zero
-    capacity; failure to find one proves nothing, so a False
-    capacity_zero_certified makes no claim of positive capacity.
-    """
-    choi = choi_from_kraus(ch).state
-    cert = solve_extension(ExtensionProblem(target=choi, tol=tol, max_iter=max_iter))
-    return ChannelTestResult(choi, cert, capacity_zero_certified=cert.verdict == FEASIBLE)
-
-
 def max_extendible_fidelity(d: int, tol: float = 5e-3) -> "SweepResult":
     """Bisect the extendibility boundary of the isotropic family.
 
@@ -526,7 +503,8 @@ def run_isotropic_sweep(
     result's ``bracket`` and ``boundary`` locate the extendibility boundary."""
     d = _require_count("dimension", d, 2)
     _require_count("steps", steps, 1)
-    if not 0.0 <= f_min <= f_max <= 1.0:
+    f_min, f_max = _require_fraction("f_min", f_min), _require_fraction("f_max", f_max)
+    if f_min > f_max:
         raise InputError(f"bad fidelity range [{f_min}, {f_max}]")
     rows = []
     for f in np.linspace(f_min, f_max, steps):  # steps = 1 gives [f_min]

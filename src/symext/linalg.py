@@ -1,6 +1,7 @@
-"""Dense complex linear algebra over tensor-product index structure.
+"""Dense linear algebra over tensor-product index structure.
 
-All matrices are square numpy arrays of complex128. Multipartite structure
+Every function here that takes a matrix casts it to complex128 (callers such
+as the extension solver keep real data in float64). Multipartite structure
 is carried separately as a tuple of subsystem dimensions whose product must
 equal the matrix side.
 """
@@ -20,8 +21,6 @@ __all__ = [
     "swap_permutation",
     "permute_systems",
     "psd_project",
-    "hs_norm",
-    "hs_inner",
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -43,11 +42,16 @@ def _require_count(name, value, least) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """An int or float, numpy's included, and not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def _require_fraction(name, value) -> float:
     """Return a real number in [0, 1] as a float; anything else, NaN, a bool,
     a string or a complex number included, is an InputError."""
-    if not (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and 0 <= value <= 1):
+    if not (_is_real(value) and 0 <= value <= 1):
         raise InputError(f"{name} must be a real number in [0, 1], got {value!r}")
     return float(value)
 
@@ -59,9 +63,10 @@ def _require_bipartite(dims) -> None:
 
 
 def _require_tol(name, value) -> None:
-    """Reject a tolerance that is not positive and finite (NaN included)."""
-    if not 0 < value < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {value!r}")
+    """Reject a tolerance that is not a positive, finite real number (NaN, a
+    bool, a string and a complex number included)."""
+    if not (_is_real(value) and 0 < value < math.inf):
+        raise InputError(f"{name} must be a positive, finite real number, got {value!r}")
 
 
 def _as_square(m) -> np.ndarray:
@@ -90,10 +95,10 @@ def hermitianize(m) -> np.ndarray:
     for matrices far from unit scale.
     """
     m = _as_square(m)
-    skew = (m - m.conj().T) / 2
-    if hs_norm(skew) > HERMITICITY_TOL * max(1.0, hs_norm(m)):
+    skew_norm = np.linalg.norm((m - m.conj().T) / 2)
+    if skew_norm > HERMITICITY_TOL * max(1.0, np.linalg.norm(m)):
         raise ValueError(
-            f"matrix is not Hermitian: skew norm {hs_norm(skew):.3e} "
+            f"matrix is not Hermitian: skew norm {skew_norm:.3e} "
             f"exceeds tolerance {HERMITICITY_TOL:.1e}"
         )
     return (m + m.conj().T) / 2
@@ -183,14 +188,3 @@ def psd_project(m) -> np.ndarray:
     wc = np.clip(w, 0.0, None)
     out = (u * wc) @ u.conj().T
     return (out + out.conj().T) / 2
-
-
-def hs_norm(m) -> float:
-    """Frobenius (Hilbert-Schmidt) norm."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(a† b)."""
-    return complex(np.vdot(np.asarray(a), np.asarray(b)))
-

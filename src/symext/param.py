@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .constructions import isotropic_boundary_fidelity
 from .extend import FEASIBLE, ExtensionProblem, _Geometry, _lbfgs, solve_extension
 from .linalg import InputError, _require_bipartite, _require_count, _require_tol
 from .quantum import (
@@ -42,8 +43,8 @@ __all__ = [
 
 def normalization_factor(d: int) -> float:
     """Scale making the distance equal log2(d) on maximally entangled states."""
-    d = _require_count("dimension", d, 2)
-    return -math.log2(d) / math.log2((d + 1) / (2 * d))
+    f_b = isotropic_boundary_fidelity(d)  # checks d first: an integer of at least 2
+    return -math.log2(d) / math.log2(f_b)
 
 
 @dataclass(eq=False)
@@ -133,18 +134,18 @@ def distance_to_extendible(
         extendible = solve_extension(ExtensionProblem(target=rho)).verdict == FEASIBLE
 
     def evaluate(v):
-        t = linalg.hs_norm(v) ** 2
+        t = np.linalg.norm(v) ** 2
         x = geo.swap_avg(v @ v.conj().T) / t
         sig = (geo.ptrace_last(x) + floor) / (1.0 + LOG_FLOOR)
         sig = (sig + sig.conj().T) / 2
         val, g = _grad_and_value(rho_t, sig, c_rho)
         lifted = geo.lift(g)
-        return val, (2.0 / t) * (lifted @ v - linalg.hs_inner(lifted, x).real * v), sig, g
+        return val, (2.0 / t) * (lifted @ v - np.vdot(lifted, x).real * v), sig, g
 
     def gap_closed(val, g, sig):
         nonlocal lower
         _, s = geo.lmo(g)
-        lower = max(lower, val - float(np.real(linalg.hs_inner(g, sig - s))))
+        lower = max(lower, val - float(np.vdot(g, sig - s).real))
         return val - lower <= gap_tol
 
     lower, iterations, stop_reason = -math.inf, 0, "budget"

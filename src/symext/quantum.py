@@ -81,7 +81,7 @@ class KrausChannel:
             if not np.all(np.isfinite(k)):
                 raise ValueError("Kraus operator contains NaN or Inf entries")
         comp = sum(k.conj().T @ k for k in ops)
-        res = linalg.hs_norm(comp - np.eye(d_in))
+        res = np.linalg.norm(comp - np.eye(d_in))
         if res > INPUT_TOL:
             raise ValueError(
                 f"not trace-preserving: ||sum K†K - I|| = {res:.3e} "
@@ -102,7 +102,7 @@ class ChoiState:
         linalg._require_bipartite(self.state.dims)
         d_in = self.state.dims[0]
         marg = linalg.partial_trace(self.state.matrix, self.state.dims, keep={0})
-        res = linalg.hs_norm(marg - np.eye(d_in) / d_in)
+        res = np.linalg.norm(marg - np.eye(d_in) / d_in)
         if res > INPUT_TOL:
             raise ValueError(
                 f"input marginal differs from I/{d_in}: residual {res:.3e} "
@@ -231,7 +231,7 @@ def fidelity_maxent(rho: DensityMatrix) -> float:
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise linalg.InputError(f"state must live on d x d, got dims {rho.dims}")
     p = max_entangled_projector(rho.dims[0])
-    return float(np.real(linalg.hs_inner(p, rho.matrix)))
+    return float(np.vdot(p, rho.matrix).real)
 
 
 def negativity(rho: DensityMatrix) -> float:

@@ -252,6 +252,18 @@ def test_cmd_test_malformed_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "matrix" in err
 
+    half = encode_matrix(np.eye(2) / 2)
+    for argv, payload, message in (
+        (["test"], [1, 2], "state file must contain a JSON object"),
+        (["test"], {"dims": 2, "matrix": half}, "field 'dims' must be a list"),
+        (["choi"], [1, 2], "channel file must contain a JSON object"),
+        (["test"], {"d_in": 2, "d_out": 2, "kraus": []}, "'kraus' must be a non-empty list"),
+    ):
+        write_json(infile, payload)
+        assert main(argv + [str(infile), str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+
 
 def test_cmd_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"

@@ -84,7 +84,7 @@ def test_extension_reduces_and_is_swap_invariant():
             red = linalg.partial_trace(ext, (3, 3, 3), keep={0, 1})
             assert np.abs(red - example_state(f).matrix).max() <= 1e-12
             swapped = linalg.permute_systems(ext, (3, 3, 3), (0, 2, 1))
-            assert linalg.hs_norm(ext - swapped) <= 1e-12
+            assert np.linalg.norm(ext - swapped) <= 1e-12
             assert abs(ext.trace().real - 1.0) <= 1e-12
 
 
@@ -187,7 +187,7 @@ def test_boundary_isotropic_extension_oracle(d):
     assert abs(ext.trace().real - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(ext).min() >= -1e-10
     swapped = linalg.permute_systems(ext, (d, d, d), (0, 2, 1))
-    assert linalg.hs_norm(ext - swapped) <= 1e-12
+    assert np.linalg.norm(ext - swapped) <= 1e-12
     red = DensityMatrix(linalg.partial_trace(ext, (d, d, d), keep={0, 1}), (d, d))
     assert fidelity_maxent(red) == pytest.approx(
         isotropic_boundary_fidelity(d), abs=1e-10

@@ -30,12 +30,12 @@ from symext.extend import (
     verify_certificate,
     verify_witness,
 )
-from symext.extend import test_channel as channel_capacity_test
-from symext.param import two_copy_estimate
+from symext.param import distance_to_extendible, two_copy_estimate
 from symext.quantum import (
     ChoiState,
     DensityMatrix,
     KrausChannel,
+    choi_from_kraus,
     coherent_information,
     depolarizing_channel,
     fidelity_maxent,
@@ -90,16 +90,16 @@ def test_dual_geometry(dims):
     # the lift is the adjoint of Tr_B' on swap-invariant matrices
     y = _random_hermitian(rng, n)
     x = geo.swap_avg(_random_hermitian(rng, geo.side))
-    lhs = linalg.hs_inner(geo.lift(y), x)
-    rhs = linalg.hs_inner(y, geo.ptrace_last(x))
-    assert abs(lhs - rhs) <= 1e-12 * linalg.hs_norm(y) * linalg.hs_norm(x)
+    lhs = np.vdot(geo.lift(y), x)
+    rhs = np.vdot(y, geo.ptrace_last(x))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(y) * np.linalg.norm(x)
     # central differences of theta match the gradient Tr_B' X(y) - rho
     _, grad, _, _ = geo.dual(y)
     eps = 1e-6
     for _ in range(3):
         h = _random_hermitian(rng, n)
         numeric = (geo.dual(y + eps * h)[0] - geo.dual(y - eps * h)[0]) / (2 * eps)
-        analytic = float(np.real(linalg.hs_inner(grad, h)))
+        analytic = float(np.vdot(grad, h).real)
         assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
 
@@ -141,11 +141,11 @@ def test_dual_on_support_matches_dense_reference(dims, rank):
         # the dual works in coordinates of range P, of dimension below side
         assert geo.basis.shape == (geo.side, dim_p) and dim_p < geo.side
         assert f.shape[0] == geo.side and f.shape[1] <= dim_p
-        scale = max(1.0, linalg.hs_norm(y))
+        scale = max(1.0, np.linalg.norm(y))
         assert abs(value - ref_value) <= 1e-12 * scale**2
         assert abs(margin - ref_margin) <= 1e-12 * scale
-        assert linalg.hs_norm(grad - ref_grad) <= 1e-12 * scale
-        assert linalg.hs_norm(f @ f.conj().T - ref_x) <= 1e-12 * scale
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * scale
+        assert np.linalg.norm(f @ f.conj().T - ref_x) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(
@@ -431,7 +431,7 @@ def _quadratic(rng, n):
 
     def evaluate(x):
         g = d * (x - m)
-        return 0.5 * linalg.hs_inner(x - m, g).real, g
+        return 0.5 * np.vdot(x - m, g).real, g
 
     return m, evaluate
 
@@ -442,13 +442,13 @@ def test_lbfgs_driver_reaches_known_minimizer():
     for k, x, accepted, value, grad, extra in _lbfgs(evaluate, np.zeros_like(m), 200):
         assert extra == []
         steps.append((k, x, accepted, value))
-        if accepted and linalg.hs_norm(grad) <= 1e-10:
+        if accepted and np.linalg.norm(grad) <= 1e-10:
             break
     assert [k for k, *_ in steps] == list(range(1, len(steps) + 1))
     assert len(steps) < 200
     values = [value for _, _, accepted, value in steps if accepted]
     assert all(b < a for a, b in zip(values, values[1:]))
-    assert linalg.hs_norm(steps[-1][1] - m) <= 1e-9
+    assert np.linalg.norm(steps[-1][1] - m) <= 1e-9
 
 
 def test_lbfgs_driver_at_minimizer_restarts_in_place():
@@ -463,17 +463,17 @@ def test_lbfgs_driver_at_minimizer_restarts_in_place():
 
 
 def test_channel_verdicts():
-    result = channel_capacity_test(depolarizing_channel(2, 0.5))
-    assert result.certificate.verdict == FEASIBLE
-    assert result.capacity_zero_certified
+    # a channel is tested through its Choi state; only Feasible certifies
+    # zero one-way capacity
+    cert = solve(choi_from_kraus(depolarizing_channel(2, 0.5)).state)
+    assert cert.verdict == FEASIBLE
 
     ident = KrausChannel(2, 2, (np.eye(2, dtype=complex),))
-    result = channel_capacity_test(ident)
-    assert result.certificate.verdict == INFEASIBLE_NUMERICAL
-    assert not result.capacity_zero_certified
+    cert = solve(choi_from_kraus(ident).state)
+    assert cert.verdict == INFEASIBLE_NUMERICAL
 
-    result = channel_capacity_test(depolarizing_channel(2, 0.1))
-    assert result.certificate.verdict == INFEASIBLE_NUMERICAL
+    cert = solve(choi_from_kraus(depolarizing_channel(2, 0.1)).state)
+    assert cert.verdict == INFEASIBLE_NUMERICAL
 
 
 def _measure_prepare(rng, d_in, d_out, n_out):
@@ -511,12 +511,12 @@ def test_rank_deficient_channels_certify_on_the_support(make):
     for _ in range(3):
         ch = make(rng)
         assert len(ch.kraus) < ch.d_in * ch.d_out
-        result = channel_capacity_test(ch)
-        choi = result.choi
+        choi = choi_from_kraus(ch).state
+        cert = solve(choi)
         geo = _Geometry(choi.dims, choi.matrix, ExtensionProblem.tol)
         assert geo.basis is not None and geo.basis.shape[1] < geo.side
-        assert result.certificate.verdict == FEASIBLE and result.capacity_zero_certified
-        res = verify_certificate(result.certificate.candidate, choi)
+        assert cert.verdict == FEASIBLE
+        res = verify_certificate(cert.candidate, choi)
         assert res.combined <= ExtensionProblem.tol
 
 
@@ -553,6 +553,16 @@ def test_argument_rules_raise_input_error():
         lambda: run_isotropic_sweep(2, 0.8, 0.7, 3),
         lambda: run_isotropic_sweep(2, 0.7, 0.8, 0),
         lambda: max_extendible_fidelity(2, float("inf")),
+        # the type rules: a tolerance, a sweep end and lam2 must be real numbers,
+        # and a bool is not one
+        lambda: ExtensionProblem(target=target, tol="1e-7"),
+        lambda: ExtensionProblem(target=target, tol=1e-7 + 0j),
+        lambda: ExtensionProblem(target=target, tol=True),
+        lambda: distance_to_extendible(target, gap_tol=True),
+        lambda: max_extendible_fidelity(2, tol="0.1"),
+        lambda: run_isotropic_sweep(2, 0.5, "0.8", 3),
+        lambda: run_isotropic_sweep(2, False, 0.8, 1),
+        lambda: example_extension(0.3, "0.1"),
         # the [0, 1] parameter rule: out of range, NaN, bool, string, complex
         lambda: isotropic(2, 1.5),
         lambda: isotropic(2, float("nan")),

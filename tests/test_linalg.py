@@ -40,6 +40,13 @@ def test_partial_trace_errors():
         linalg.partial_trace(np.eye(4), (2, 2), keep=set())
     with pytest.raises(ValueError):
         linalg.partial_trace(np.eye(4), (2, 2), keep={5})
+    # the shape and index rules of the other tensor helpers
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        linalg.partial_trace(np.ones((2, 4)), (2, 2), keep={0})
+    with pytest.raises(ValueError, match="subsystem index 2 out of range"):
+        linalg.partial_transpose(np.eye(4), (2, 2), 2)
+    with pytest.raises(ValueError, match=r"factor indices \(0, 2\) out of range"):
+        linalg.swap_permutation((2, 2), 0, 2)
 
 
 def test_partial_transpose_identity_fixed():
@@ -52,6 +59,8 @@ def test_partial_transpose_maxent_gives_swap():
     pt = linalg.partial_transpose(max_entangled_projector(2), (2, 2), 1)
     v = linalg.swap_operator((2, 2), 0, 1)
     assert np.allclose(pt, v / 2)
+    # overlap of the maximally entangled projector with the swap operator
+    assert abs(np.vdot(max_entangled_projector(2), v) - 1.0) <= 1e-12
     w = np.linalg.eigvalsh(pt)
     assert np.allclose(np.sort(w), [-0.5, 0.5, 0.5, 0.5])
 
@@ -109,7 +118,7 @@ def test_swap_conjugation_is_hs_isometry():
         a, b = random_hermitian(rng, 8), random_hermitian(rng, 8)
         va = linalg.permute_systems(a, (2, 2, 2), (0, 2, 1))
         vb = linalg.permute_systems(b, (2, 2, 2), (0, 2, 1))
-        assert abs(linalg.hs_inner(va, vb) - linalg.hs_inner(a, b)) <= 1e-10
+        assert abs(np.vdot(va, vb) - np.vdot(a, b)) <= 1e-10
 
 
 def test_permute_systems_identity_and_inverse():
@@ -160,17 +169,6 @@ def test_psd_project_fixed_point_and_idempotent():
     twice = linalg.psd_project(once)
     assert np.linalg.norm(once - twice) <= 1e-10
     assert np.linalg.eigvalsh(once).min() >= -1e-12
-
-
-def test_hs_norm_and_inner():
-    assert abs(linalg.hs_norm(np.eye(2)) - np.sqrt(2)) <= 1e-14
-    rng = np.random.default_rng(10)
-    m = random_hermitian(rng, 4)
-    assert abs(linalg.hs_inner(m, m).real - linalg.hs_norm(m) ** 2) <= 1e-10
-    # overlap of the maximally entangled projector with the swap operator
-    v = linalg.swap_operator((2, 2), 0, 1)
-    assert abs(linalg.hs_inner(max_entangled_projector(2), v) - 1.0) <= 1e-12
-
 
 
 def test_public_names_resolve():

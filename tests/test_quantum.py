@@ -61,6 +61,10 @@ def test_density_matrix_is_readonly():
 def test_kraus_channel_completeness_enforced():
     with pytest.raises(ValueError, match="trace-preserving"):
         KrausChannel(2, 2, (0.5 * np.eye(2),))
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        KrausChannel(2, 2, ())
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) is not \(2, 2\)"):
+        KrausChannel(2, 2, (np.eye(3),))
     for d_in, d_out in ((2.5, 2), (2, 2.0)):  # not truncated to 2
         with pytest.raises(linalg.InputError, match="d_(in|out) must be an integer"):
             KrausChannel(d_in, d_out, (np.eye(2),))
@@ -123,6 +127,9 @@ def test_choi_marginal_invariant_random_channels():
         choi = choi_from_kraus(ch)
         marg = linalg.partial_trace(choi.state.matrix, (3, 3), keep={0})
         assert np.linalg.norm(marg - np.eye(3) / 3) <= 1e-9
+    # a state whose input marginal is not I/d is no Choi state
+    with pytest.raises(ValueError, match="input marginal differs from I/2"):
+        ChoiState(DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2)))
 
 
 @pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2)])
@@ -193,6 +200,10 @@ def test_apply_channel_on_subsystem():
     assert abs(out.matrix.trace().real - 1.0) <= 1e-10
     with pytest.raises(ValueError):
         apply_channel(ch, rho, which=0)
+    with pytest.raises(ValueError, match="factor 2 out of range"):
+        apply_channel(ch, rho, which=2)
+    with pytest.raises(ValueError, match="state side 6 does not match channel input 3"):
+        apply_channel(ch, rho)
 
 
 def test_depolarizing_parameter_validation():
