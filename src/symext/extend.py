@@ -18,12 +18,15 @@ unconstrained convex function of a Hermitian y on A (x) B
   theta(y) = 1/2 ||X(y)||^2 - Re<rho, y>,   X(y) = Pi_+(P lift(y) P),
 
 with gradient Tr_B' X(y) - rho; Pi_+ clamps negative eigenvalues. The
-L-BFGS driver ``_lbfgs``, shared with ``param``, minimizes it. Each
-evaluation costs one eigh, of size dim P, of B^dag lift(y) B (B an
-orthonormal basis of range P, the identity when P is everything; empty for
-a pure entangled rho). Its eigenpairs (w, U) give the factor
-F = B U sqrt(w_+) of X(y) = F F^dag, and so the gradient and both exits;
-X(y) itself is formed only at an exit:
+L-BFGS driver ``_lbfgs``, shared with ``param``, minimizes it; it keeps its
+pairs in the compact form of Byrd, Nocedal and Schnabel, so a step costs
+two products with the stored pairs and a store one more. Each evaluation
+costs one eigh, of size dim P, of B^dag lift(y) B (B an orthonormal basis
+of range P, the identity when P is everything; empty for a pure entangled
+rho). When P is not everything, that matrix comes from one product of y
+with B and its swapped copy, never from the side x side lift. Its
+eigenpairs (w, U) give the factor F = B U sqrt(w_+) of X(y) = F F^dag, and
+so the gradient and both exits; X(y) itself is formed only at an exit:
 
   * Feasible: X(y) is PSD and swap-invariant by construction, so once the
     gradient norm (the marginal residual) is at most tol, X(y) is an
@@ -52,7 +55,6 @@ Feasible. A target with no imaginary part is solved in real arithmetic: y,
 the factor, the gradient, the L-BFGS memory and the candidate are float64.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,6 +197,13 @@ class _Geometry:
         self.basis = ut[:, wt > 1.0 - 5e-10]
         ker = np.eye(self.d_ab) - supp_proj
         self.ker = (ker + ker.conj().T) / 2
+        # B and V B (V swaps B and B') with rows (ab, b') split so that index
+        # ab leads: pair[ab, (i, b', k)], i = 0 for B and 1 for V B
+        dim_p = self.basis.shape[1]
+        b = self.basis.reshape(self.d_a, self.d_b, self.d_b, dim_p)
+        pair = np.stack((b, b.transpose(0, 2, 1, 3)), axis=2)
+        self.pair = pair.reshape(self.d_ab, 2 * self.d_b * dim_p)
+        self.pair_h = pair.reshape(2 * self.side, dim_p).conj().T
 
     def swap_avg(self, m):
         flipped = m.reshape(self.shape6).transpose(0, 2, 1, 3, 5, 4)
@@ -226,64 +235,121 @@ class _Geometry:
         s = self.ptrace_last(self.swap_avg(np.outer(v, v.conj())))
         return float(w[0]), (s + s.conj().T) / 2
 
+    def compress(self, y):
+        """B^dag lift(y) B, or lift(y) when basis is None. Since
+        lift(y) = (y (x) I + V (y (x) I) V) / 2, it is
+        (B^dag (y (x) I) B + (V B)^dag (y (x) I) V B) / 2: one product of y
+        with B and V B side by side and one contraction, so the side x side
+        lift is never formed."""
+        if self.basis is None:
+            return self.lift(y)
+        z = (y @ self.pair).reshape(self.pair_h.shape[::-1])
+        return self.pair_h @ z / 2
+
     def dual(self, y):
         """From one eigh of B^dag lift(y) B (B = basis, the identity when
         None): theta(y), its gradient Tr_B' X(y) - rho, a factor F of
         X(y) = F F^dag and the free margin max(w_max, 0) - Re<rho, y>."""
-        b = self.basis
-        m = self.lift(y) if b is None else b.conj().T @ self.lift(y) @ b
-        w, u = np.linalg.eigh(m)
+        w, u = np.linalg.eigh(self.compress(y))
         pos = w > 0
         f = u[:, pos] * np.sqrt(w[pos])
-        f = f if b is None else b @ f
+        f = f if self.basis is None else self.basis @ f
         fr = f.reshape(self.d_ab, -1)
         rho_y = float(np.vdot(self.rho, y).real)
         value = 0.5 * float(w[pos] @ w[pos]) - rho_y
         return value, fr @ fr.conj().T - self.rho, f, w.max(initial=0.0) - rho_y
 
 
-def _lbfgs_direction(grad, memory):
-    """Two-loop recursion: minus the L-BFGS inverse-Hessian estimate times
-    grad, from the stored (s, g_diff, 1 / <s, g_diff>) pairs."""
-    q = grad.copy()
-    alphas = []
-    for s, g_diff, r in reversed(memory):
-        alphas.append(r * np.vdot(s, q).real)
-        q -= alphas[-1] * g_diff
-    if memory:
-        s, g_diff, _ = memory[-1]
-        q *= np.vdot(s, g_diff).real / np.vdot(g_diff, g_diff).real
-    for (s, g_diff, r), a in zip(memory, reversed(alphas)):
-        q += (a - r * np.vdot(g_diff, q).real) * s
-    return -q
+class _PairMemory:
+    """The last LBFGS_MEMORY pairs (s, g_diff) of an L-BFGS run in the
+    compact form of Byrd, Nocedal and Schnabel (Math. Program. 63, 1994).
+
+    A pair is held as the float64 views of its arrays, so Re<a, b> is a
+    dot. Slot j of a ring buffer holds s_j in row 2j and g_diff_j in row
+    2j + 1. Beside them, indexed by slot: r_inv, the inverse of
+    R = triu(<s_i, g_diff_j>) taken in order of age; yy = <g_diff_i, g_diff_j>;
+    and the curvatures <s_j, g_diff_j>. The inverse of a trailing block of a
+    triangular matrix is the trailing block of its inverse, so dropping the
+    oldest pair drops its row and column of r_inv, and storing a pair costs
+    one product with the stored rows and O(m^2) more. Only the rows of
+    stored pairs are read or written.
+    """
+
+    def __init__(self):
+        self.rows, self.stored = None, 0
+
+    def store(self, s, g_diff, curvature):
+        if self.rows is None:  # allocated at the first pair: most short solves store none
+            m = LBFGS_MEMORY
+            self.rows = np.empty((2 * m, s.size))
+            self.r_inv, self.yy = np.zeros((m, m)), np.zeros((m, m))
+            self.curv, self.coef = np.zeros(m), np.zeros((m, 2))
+        j = self.stored % LBFGS_MEMORY  # the oldest pair's slot once all are full
+        self.stored += 1
+        k = min(self.stored, LBFGS_MEMORY)
+        self.rows[2 * j], self.rows[2 * j + 1] = s, g_diff
+        prod = self.rows[: 2 * k].dot(g_diff)
+        sy, yy = prod[0::2], prod[1::2]
+        sy[j] = 0.0
+        r_inv = self.r_inv[:k, :k]
+        r_inv[j] = 0.0
+        r_inv[:, j] = r_inv.dot(sy) * (-1.0 / curvature)
+        r_inv[j, j] = 1.0 / curvature
+        self.yy[j, :k] = self.yy[:k, j] = yy
+        self.curv[j] = curvature
+        # scaling of the initial inverse Hessian, from the latest pair
+        self.gamma = float(curvature / yy[j])
+
+    def direction(self, grad):
+        """Minus the L-BFGS inverse-Hessian estimate times grad:
+        -gamma grad - S v + gamma G u, with S and G the stored s and g_diff,
+        u = r_inv S^T grad and v = r_inv^T ((D + gamma G^T G) u - gamma G^T grad),
+        D the curvatures."""
+        k = min(self.stored, LBFGS_MEMORY)
+        if not k:
+            return -grad
+        gamma, rows, r_inv = self.gamma, self.rows[: 2 * k], self.r_inv[:k, :k]
+        pq = rows.dot(grad)
+        u = r_inv.dot(pq[0::2])
+        coef = self.coef[:k]
+        coef[:, 0] = (gamma * (pq[1::2] - self.yy[:k, :k].dot(u)) - self.curv[:k] * u).dot(r_inv)
+        coef[:, 1] = gamma * u
+        step = coef.ravel().dot(rows)
+        step -= gamma * grad
+        return step
 
 
 def _lbfgs(evaluate, x0, max_iter):
     """L-BFGS with Armijo backtracking from x0; evaluate(x) returns
     (value, grad, *extra). Yields (k, point, accepted, value, grad, extra)
     for each evaluation k <= max_iter, line-search trials included, until
-    the caller breaks out. A non-descent direction restarts along -grad."""
-    x = trial = x0
+    the caller breaks out. A non-descent direction restarts along -grad.
+    grad has the shape and dtype (float64 or complex128) of x; the
+    iteration runs on their float64 views, where Re<a, b> is a dot."""
+    shape, dtype = x0.shape, x0.dtype
+    x = trial = x0.reshape(-1).view(np.float64)
     value, t, slope = np.inf, 1.0, 0.0
-    memory = deque(maxlen=LBFGS_MEMORY)
+    memory = _PairMemory()
     for k in range(1, max_iter + 1):
-        trial_value, trial_grad, *extra = evaluate(trial)
+        point = trial.view(dtype).reshape(shape)
+        trial_value, trial_grad, *extra = evaluate(point)
         accepted = not trial_value > value + 1e-4 * t * slope
-        yield k, trial, accepted, trial_value, trial_grad, extra
+        yield k, point, accepted, trial_value, trial_grad, extra
         if not accepted:
             t /= 2  # Armijo sufficient decrease failed: backtrack
         else:
+            g = trial_grad.reshape(-1).view(np.float64)
             if k > 1:
-                s, g_diff = trial - x, trial_grad - grad
-                curvature = np.vdot(s, g_diff).real
+                s, g_diff = trial - x, g - grad
+                curvature = s.dot(g_diff)
                 if curvature > 0:
-                    memory.append((s, g_diff, 1.0 / curvature))
-            x, value, grad = trial, trial_value, trial_grad
-            direction = _lbfgs_direction(grad, memory)
-            t, slope = 1.0, np.vdot(grad, direction).real
+                    memory.store(s, g_diff, curvature)
+            x, value, grad = trial, trial_value, g
+            direction = memory.direction(grad)
+            t, slope = 1.0, grad.dot(direction)
             if slope >= 0:  # not a descent direction: restart along -grad
-                memory.clear()
-                direction, slope = -grad, -np.linalg.norm(grad) ** 2
+                memory = _PairMemory()
+                direction, slope = -grad, -grad.dot(grad)
         trial = x + t * direction
 
 
@@ -432,14 +498,18 @@ def max_extendible_fidelity(d: int, tol: float = 5e-3) -> "SweepResult":
     question for zero-capacity states. Returns the solved midpoints as a
     ``SweepResult``. The first midpoint of [1/d, 1] is exactly the boundary
     F_b = (d+1)/(2d), which is Feasible, so the bracket's lower end is F_b
-    and ``boundary`` is within tol/2 above it. Side d**3 <= MAX_SIDE: d <= 10.
+    and ``boundary`` is within tol/2 above it. The bisection also stops when
+    its ends are adjacent floats, so a tol below their spacing ends there.
+    Side d**3 <= MAX_SIDE: d <= 10.
     """
     d = _require_count("dimension", d, 2)
-    _require_tol("tol", tol)  # at one ulp the bisection stops shrinking: tol <= 0 never ends
+    _require_tol("tol", tol)
     lo, hi = 1.0 / d, 1.0
     rows = []
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):  # lo and hi are adjacent floats: no tol below one ulp is met
+            break
         rows.append(SweepRow(mid, solve_extension(ExtensionProblem(target=isotropic(d, mid)))))
         lo, hi = (mid, hi) if rows[-1].certificate.verdict == FEASIBLE else (lo, mid)
     return SweepResult(d, sorted(rows, key=lambda r: r.fidelity))

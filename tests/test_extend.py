@@ -1,3 +1,4 @@
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,6 +147,39 @@ def test_dual_on_support_matches_dense_reference(dims, rank):
         assert abs(margin - ref_margin) <= 1e-12 * scale
         assert np.linalg.norm(grad - ref_grad) <= 1e-12 * scale
         assert np.linalg.norm(f @ f.conj().T - ref_x) <= 1e-12 * scale
+
+
+def _compression_target(kind, rng, dims):
+    d_a, d_b = dims
+    if kind == "measure-prepare":
+        return choi_from_kraus(_measure_prepare(rng, d_a, d_b, d_a)).state
+    if kind == "product":
+        a = rng.standard_normal(d_a) + 1j * rng.standard_normal(d_a)
+        g = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
+        sigma = g @ g.conj().T
+        pure_a = np.outer(a, a.conj()) / (a.conj() @ a)
+        return DensityMatrix(np.kron(pure_a, sigma / np.trace(sigma)), dims)
+    return random_entangled_pure(rng, dims)
+
+
+@pytest.mark.parametrize("kind", ["measure-prepare", "product", "pure-entangled"])
+@pytest.mark.parametrize(
+    "dims", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
+)
+def test_compression_without_lift_matches_dense(kind, dims):
+    # rank-deficient targets: B^dag lift(y) B from y and [B, V B] alone
+    # equals the product with the side x side lift
+    rng = np.random.default_rng(60 + 7 * dims[0] + dims[1])
+    target = _compression_target(kind, rng, dims)
+    geo = _Geometry(dims, target.matrix, 1e-7)
+    b = geo.basis
+    assert b is not None and (b.shape[1] == 0) == (kind == "pure-entangled")
+    for _ in range(3):
+        y = _random_hermitian(rng, geo.d_ab)
+        dense = b.conj().T @ geo.lift(y) @ b
+        got = geo.compress(y)
+        assert got.shape == dense.shape == (b.shape[1], b.shape[1])
+        assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize(
@@ -462,6 +496,113 @@ def test_lbfgs_driver_at_minimizer_restarts_in_place():
         assert not np.isnan(grad).any() and not grad.any()
 
 
+def _two_loop_direction(grad, memory):
+    """Reference for the compact memory: the two-loop recursion over the
+    (s, g_diff, 1 / Re<s, g_diff>) pairs, oldest first. Returns minus the
+    L-BFGS inverse-Hessian estimate times grad."""
+    q = grad.copy()
+    alphas = []
+    for s, g_diff, r in reversed(memory):
+        alphas.append(r * np.vdot(s, q).real)
+        q -= alphas[-1] * g_diff
+    if memory:
+        s, g_diff, _ = memory[-1]
+        q *= np.vdot(s, g_diff).real / np.vdot(g_diff, g_diff).real
+    for (s, g_diff, r), a in zip(memory, reversed(alphas)):
+        q += (a - r * np.vdot(g_diff, q).real) * s
+    return -q
+
+
+def _two_loop_lbfgs(evaluate, x0, max_iter):
+    """Reference for ``_lbfgs``: the same driver on the two-loop recursion."""
+    x = trial = x0
+    value, t, slope = np.inf, 1.0, 0.0
+    memory = deque(maxlen=extend.LBFGS_MEMORY)
+    for k in range(1, max_iter + 1):
+        trial_value, trial_grad = evaluate(trial)
+        accepted = not trial_value > value + 1e-4 * t * slope
+        yield k, trial, accepted
+        if not accepted:
+            t /= 2
+        else:
+            if k > 1:
+                s, g_diff = trial - x, trial_grad - grad
+                curvature = np.vdot(s, g_diff).real
+                if curvature > 0:
+                    memory.append((s, g_diff, 1.0 / curvature))
+            x, value, grad = trial, trial_value, trial_grad
+            direction = _two_loop_direction(grad, memory)
+            t, slope = 1.0, np.vdot(grad, direction).real
+            if slope >= 0:
+                memory.clear()
+                direction, slope = -grad, -np.linalg.norm(grad) ** 2
+        trial = x + t * direction
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_compact_memory_matches_two_loop(dtype):
+    # more pairs than LBFGS_MEMORY, so the ring buffer wraps around, then a
+    # restart and a few pairs more
+    rng = np.random.default_rng(41 if dtype is float else 42)
+    shape, m = (5, 4), extend.LBFGS_MEMORY
+
+    def draw():
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if dtype is complex else a
+
+    def flat(a):
+        return a.reshape(-1).view(np.float64)
+
+    hessian = rng.uniform(0.5, 5.0, shape)
+    memory, reference = extend._PairMemory(), deque(maxlen=m)
+    for i in range(m + 12):
+        if i == m + 7:  # a restart starts both memories afresh
+            memory, reference = extend._PairMemory(), deque(maxlen=m)
+        else:
+            s = draw()
+            g_diff = hessian * s + 0.1 * draw()
+            curvature = np.vdot(s, g_diff).real
+            assert curvature > 0
+            memory.store(flat(s), flat(g_diff), flat(s) @ flat(g_diff))
+            reference.append((s, g_diff, 1.0 / curvature))
+        grad = draw()
+        expected = _two_loop_direction(grad, reference)
+        got = memory.direction(flat(grad)).view(dtype).reshape(shape)
+        assert got.dtype == expected.dtype
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_lbfgs_driver_matches_two_loop_reference():
+    # a complex quadratic with a dense real Hessian of condition 100, slow
+    # enough that the memory wraps around long before convergence. One
+    # gradient is zeroed on an accepted step: its direction and slope are
+    # zero, and the driver restarts in place along -grad.
+    rng = np.random.default_rng(13)
+    n, zeroed = 5, 40
+    q, _ = np.linalg.qr(rng.standard_normal((2 * n * n, 2 * n * n)))
+    hessian = (q * np.geomspace(0.01, 1.0, 2 * n * n)) @ q.T
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def counted():
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            r = (x - m).reshape(-1).view(np.float64)
+            g = (hessian @ r).view(complex).reshape(x.shape)
+            return 0.5 * float(r @ hessian @ r), 0.0 * g if len(calls) == zeroed else g
+
+        return evaluate
+
+    got = [(k, x, accepted) for k, x, accepted, *_ in _lbfgs(counted(), np.zeros_like(m), 80)]
+    expected = list(_two_loop_lbfgs(counted(), np.zeros_like(m), 80))
+    assert [(k, a) for k, _, a in got] == [(k, a) for k, _, a in expected]
+    assert sum(a for *_, a in got[:zeroed]) > extend.LBFGS_MEMORY + 1
+    assert got[zeroed - 1][2] and np.array_equal(got[zeroed][1], got[zeroed - 1][1])
+    for (_, x, _), (_, x_ref, _) in zip(got, expected):
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
 def test_channel_verdicts():
     # a channel is tested through its Choi state; only Feasible certifies
     # zero one-way capacity
@@ -518,6 +659,24 @@ def test_rank_deficient_channels_certify_on_the_support(make):
         assert cert.verdict == FEASIBLE
         res = verify_certificate(cert.candidate, choi)
         assert res.combined <= ExtensionProblem.tol
+
+
+def test_max_extendible_fidelity_stops_at_adjacent_floats(monkeypatch):
+    # below one ulp of the boundary, mid = (lo + hi) / 2 rounds to lo or hi
+    # and hi - lo > tol holds for ever; the bisection must stop there. The
+    # counted solve fails the test instead of letting it hang.
+    solves = []
+
+    def counted(problem):
+        solves.append(problem)
+        assert len(solves) <= 100, "the bisection did not stop"
+        return solve_extension(problem)
+
+    monkeypatch.setattr(extend, "solve_extension", counted)
+    result = max_extendible_fidelity(2, tol=1e-17)
+    lo, hi = (row.fidelity for row in result.bracket)
+    assert hi == np.nextafter(lo, 1.0)
+    assert len(result.rows) == len(solves) < 100
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
