@@ -11,10 +11,8 @@ from .constructions import (
     example_extension,
     example_state,
     filtered_state,
-    generalized_rank1_state,
     isotropic,
     isotropic_boundary_fidelity,
-    rank1_extension_state,
     twirl_isotropic,
 )
 from .extend import (
@@ -24,11 +22,9 @@ from .extend import (
     CertificateResiduals,
     ExtensionCertificate,
     ExtensionProblem,
-    MapClosureRecord,
     SweepResult,
     SweepRow,
     bob_side_map_preserves,
-    max_extendible_fidelity,
     run_isotropic_sweep,
     solve_extension,
     verify_certificate,

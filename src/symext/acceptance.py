@@ -15,8 +15,10 @@ from .constructions import (
     boundary_isotropic_extension,
     example_extension,
     example_state,
+    filtered_state,
     isotropic,
     isotropic_boundary_fidelity,
+    twirl_isotropic,
 )
 from .extend import (
     FEASIBLE,
@@ -35,7 +37,16 @@ from .param import (
     normalization_factor,
     two_copy_estimate,
 )
-from .quantum import DensityMatrix, max_entangled_projector, von_neumann_entropy
+from .quantum import (
+    ChoiState,
+    DensityMatrix,
+    choi_from_kraus,
+    fidelity_maxent,
+    kraus_from_choi,
+    max_entangled_projector,
+    negativity,
+    von_neumann_entropy,
+)
 from .sampling import (
     random_cptp,
     random_density,
@@ -126,6 +137,24 @@ def _headline_zero_capacity():
     )
 
 
+def _headline_zero_capacity_channel():
+    """The paper's channel with entanglement transmission and zero one-way
+    capacity: N has the Choi state filtered_state(0.45), is rebuilt from
+    its Kraus operators, and is tested as ``symext test`` tests a channel
+    file. Its fidelity cannot pass F_b, since twirling keeps extendibility."""
+    channel = kraus_from_choi(ChoiState(filtered_state(0.45)))
+    choi = choi_from_kraus(channel).state
+    cert = solve_extension(ExtensionProblem(choi))
+    res = verify_certificate(cert.candidate, choi).combined
+    neg, fid, f_b = negativity(choi), fidelity_maxent(choi), isotropic_boundary_fidelity(3)
+    twirl = solve_extension(ExtensionProblem(twirl_isotropic(choi))).verdict
+    ok = (cert.verdict == FEASIBLE and res <= ExtensionProblem.tol and neg > 0.05
+          and fid <= f_b and twirl == FEASIBLE)
+    return (f"kraus={len(channel.kraus)} verdict={cert.verdict} res={res:.1e} "
+            f"evals={cert.iterations} negativity={neg:.3f} Fe={fid:.4f} F_b={f_b:.4f} "
+            f"twirl={twirl}", ok)
+
+
 def _normalization_anchor(d, tol):
     state = DensityMatrix(max_entangled_projector(d), (d, d))
     result = distance_to_extendible(state)
@@ -172,8 +201,7 @@ def _battery_closure(seed):
         dims = (2, 2) if i % 2 == 0 else (3, 3)
         state = random_separable(rng, dims)
         ch = random_cptp(rng, dims[1], dims[1], int(rng.integers(1, dims[1] + 2)))
-        record = bob_side_map_preserves(state, ch)
-        kept += record.preserved
+        kept += bob_side_map_preserves(state, ch)
     return f"{kept}/20 preserved", kept == 20
 
 
@@ -242,6 +270,9 @@ def _registry(seed):
           for d in (6, 8)),
         ("headline-zero-capacity", "Feasible, neg>0.05, hashing<=0", "exact",
          _headline_zero_capacity),
+        ("headline-zero-capacity-channel",
+         "Feasible+certified, neg>0.05, Fe<=F_b(3), twirl Feasible",
+         f"{ExtensionProblem.tol:.0e}", _headline_zero_capacity_channel),
         ("normalization-anchor-d2", "1.000000, gap<=1e-3, stop=gap", "1e-3",
          lambda: _normalization_anchor(2, 1e-3)),
         ("normalization-anchor-d3", f"{math.log2(3):.6f}, gap<=1e-3, stop=gap", "2e-3",

@@ -5,8 +5,9 @@ channels travel as JSON with [re, im] pairs in row-major nested arrays;
 sweeps produce CSV. Exit codes: 0 = certified feasible (zero one-way
 capacity), 1 = not certified, 2 = error. Code 1 makes no claim of
 positive capacity; the test is one-sided. Errors print to stderr as
-"input error: ..." for a malformed input file, a numeric option that is not
-positive and finite, or an argument that breaks one of the library's rules
+"input error: ..." for an input file that cannot be read or is malformed,
+an output path that cannot be opened for writing, a numeric option that is
+not positive and finite, or an argument that breaks one of the library's rules
 (``linalg.InputError``: dimensions, sizes, bipartite targets, tolerances,
 sweep ranges), and as "internal error: <type>: ..." for a fault inside the
 program.
@@ -117,8 +118,18 @@ def _require_positive(args, *names) -> None:
         _require_tol(f"--{name.replace('_', '-')}", getattr(args, name))
 
 
+def _open_out(path: str):
+    """Open an output file; a path that cannot be opened (a missing
+    directory, a directory itself) is an input error, as an unreadable
+    input file is."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write '{path}': {exc}")
+
+
 def _write_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         fh.write(json.dumps(payload) + "\n")
 
 
@@ -177,7 +188,7 @@ def cmd_sweep_isotropic(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    with open(args.out_csv, "w") as fh:
+    with _open_out(args.out_csv) as fh:
         fh.write("F,verdict,psd_res,swap_res,pt_res,iters\n")
         for row in result.rows:
             c, res = row.certificate, row.certificate.residuals

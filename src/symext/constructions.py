@@ -17,8 +17,6 @@ __all__ = [
     "example_state",
     "filtered_state",
     "example_extension",
-    "rank1_extension_state",
-    "generalized_rank1_state",
     "isotropic",
     "twirl_isotropic",
     "isotropic_boundary_fidelity",
@@ -114,26 +112,6 @@ def example_extension(fidelity: float, lam2: float = None, validate: bool = True
     return linalg.permute_systems(m, (3, 3, 3), (1, 2, 0))
 
 
-def rank1_extension_state():
-    """Pure exchange-symmetric extension whose reduction has fidelity 3/5.
-
-    Returns (extension on canonical A (x) B (x) B', reduction on 3 x 3).
-    """
-    phi1 = _extension_vectors()[1]
-    ext = linalg.permute_systems(_proj(phi1) / 5.0, (3, 3, 3), (1, 2, 0))
-    red = linalg.partial_trace(ext, (3, 3, 3), keep={0, 1})
-    return ext, DensityMatrix(red, (3, 3))
-
-
-def generalized_rank1_state(d: int) -> DensityMatrix:
-    """d-dimensional family d/(2d-1) P+ + 1/(2d-1) sum_i |i 0><i 0|."""
-    d = linalg._require_count("dimension", d, 2)
-    m = d / (2 * d - 1) * max_entangled_projector(d)
-    for i in range(1, d):
-        m += 1.0 / (2 * d - 1) * _proj(_ket((d, d), i, 0))
-    return DensityMatrix(m, (d, d))
-
-
 def isotropic(d: int, fidelity: float) -> DensityMatrix:
     """Isotropic state with the given overlap on the maximally entangled state."""
     d = linalg._require_count("dimension", d, 2)
@@ -150,7 +128,13 @@ def twirl_isotropic(rho: DensityMatrix) -> DensityMatrix:
 
 
 def isotropic_boundary_fidelity(d: int) -> float:
-    """Largest isotropic fidelity that still admits a symmetric extension."""
+    """Largest isotropic fidelity that still admits a symmetric extension.
+
+    Twirling by U (x) U* preserves both the fidelity and extendibility, and
+    maps every d x d state onto the isotropic state of the same fidelity,
+    so the isotropic family is extremal: no extendible d x d state, the
+    Choi state of a zero-capacity channel included, has a larger fidelity.
+    """
     d = linalg._require_count("dimension", d, 2)
     return (d + 1) / (2 * d)
 

@@ -82,8 +82,6 @@ __all__ = [
     "solve_extension",
     "verify_certificate",
     "verify_witness",
-    "max_extendible_fidelity",
-    "MapClosureRecord",
     "bob_side_map_preserves",
     "SweepRow",
     "SweepResult",
@@ -490,47 +488,12 @@ def verify_witness(w, target: DensityMatrix) -> WitnessCheck:
     return WitnessCheck(margin=value - c, error_bound=bound)
 
 
-def max_extendible_fidelity(d: int, tol: float = 5e-3) -> "SweepResult":
-    """Bisect the extendibility boundary of the isotropic family.
-
-    Twirling preserves both fidelity and extendibility, so the isotropic
-    family is extremal and this boundary answers the maximal-fidelity
-    question for zero-capacity states. Returns the solved midpoints as a
-    ``SweepResult``. The first midpoint of [1/d, 1] is exactly the boundary
-    F_b = (d+1)/(2d), which is Feasible, so the bracket's lower end is F_b
-    and ``boundary`` is within tol/2 above it. The bisection also stops when
-    its ends are adjacent floats, so a tol below their spacing ends there.
-    Side d**3 <= MAX_SIDE: d <= 10.
-    """
-    d = _require_count("dimension", d, 2)
-    _require_tol("tol", tol)
-    lo, hi = 1.0 / d, 1.0
-    rows = []
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):  # lo and hi are adjacent floats: no tol below one ulp is met
-            break
-        rows.append(SweepRow(mid, solve_extension(ExtensionProblem(target=isotropic(d, mid)))))
-        lo, hi = (mid, hi) if rows[-1].certificate.verdict == FEASIBLE else (lo, mid)
-    return SweepResult(d, sorted(rows, key=lambda r: r.fidelity))
-
-
-@dataclass(eq=False)
-class MapClosureRecord:
-    verdict_before: str
-    verdict_after: str
-    preserved: bool
-
-
-def bob_side_map_preserves(rho: DensityMatrix, ch: KrausChannel) -> MapClosureRecord:
-    """Check that a trace-preserving map on B keeps a state extendible."""
+def bob_side_map_preserves(rho: DensityMatrix, ch: KrausChannel) -> bool:
+    """Check that a trace-preserving map on B keeps a state extendible:
+    False only when rho is Feasible and its image is not."""
     before = solve_extension(ExtensionProblem(target=rho))
-    mapped = apply_channel(ch, rho, which=1)
-    after = solve_extension(ExtensionProblem(target=mapped))
-    preserved = not (before.verdict == FEASIBLE and after.verdict != FEASIBLE)
-    return MapClosureRecord(
-        verdict_before=before.verdict, verdict_after=after.verdict, preserved=preserved
-    )
+    after = solve_extension(ExtensionProblem(target=apply_channel(ch, rho, which=1)))
+    return not (before.verdict == FEASIBLE and after.verdict != FEASIBLE)
 
 
 @dataclass(frozen=True)

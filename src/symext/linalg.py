@@ -17,7 +17,6 @@ __all__ = [
     "hermitianize",
     "partial_trace",
     "partial_transpose",
-    "swap_operator",
     "swap_permutation",
     "permute_systems",
     "psd_project",
@@ -143,14 +142,6 @@ def partial_transpose(m, dims, which: int) -> np.ndarray:
     axes = list(range(2 * n))
     axes[which], axes[n + which] = axes[n + which], axes[which]
     return t.transpose(axes).reshape(m.shape)
-
-
-def swap_operator(dims, i: int, j: int) -> np.ndarray:
-    """Permutation matrix exchanging tensor factors i and j."""
-    rows = swap_permutation(dims, i, j)
-    v = np.zeros((rows.size, rows.size), dtype=complex)
-    v[rows, np.arange(rows.size)] = 1.0
-    return v
 
 
 def swap_permutation(dims, i: int, j: int) -> np.ndarray:

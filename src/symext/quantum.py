@@ -147,17 +147,9 @@ def kraus_from_choi(c: ChoiState) -> KrausChannel:
     return KrausChannel(d_in, d_out, tuple(ops))
 
 
-def apply_channel(ch: KrausChannel, rho: DensityMatrix, which=None) -> DensityMatrix:
-    """Apply a channel to a state, or to one tensor factor of it."""
-    if which is None:
-        if rho.side != ch.d_in:
-            raise ValueError(
-                f"state side {rho.side} does not match channel input {ch.d_in}"
-            )
-        out = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus)
-        dims = rho.dims if ch.d_out == ch.d_in else (ch.d_out,)
-        return DensityMatrix(out, dims)
-
+def apply_channel(ch: KrausChannel, rho: DensityMatrix, which: int) -> DensityMatrix:
+    """Apply a channel to tensor factor ``which`` of a state; a state of one
+    factor takes which=0."""
     which = int(which)
     if which < 0 or which >= len(rho.dims):
         raise ValueError(f"factor {which} out of range for dims {rho.dims}")

@@ -49,11 +49,11 @@ def random_product_pure(rng: np.random.Generator, dims) -> np.ndarray:
     return out
 
 
-def random_separable(rng: np.random.Generator, dims, n_terms=None) -> DensityMatrix:
+def random_separable(rng: np.random.Generator, dims) -> DensityMatrix:
     """Mixture of at most prod(dims) random product pure states."""
     dims = tuple(_require_count("subsystem dimension", d, 1) for d in dims)
     n = math.prod(dims)
-    k = int(rng.integers(1, n + 1)) if n_terms is None else _require_count("n_terms", n_terms, 1)
+    k = int(rng.integers(1, n + 1))
     weights = rng.random(k)
     weights /= weights.sum()
     m = np.zeros((n, n), dtype=complex)

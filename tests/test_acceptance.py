@@ -43,7 +43,10 @@ def test_criterion_3_boundary_extension_oracle():
 
 
 def test_criterion_4_headline_zero_capacity():
-    assert_all(run_checks(only="headline", seed=SEED))
+    # the example state as a state, and its filtered form run as a channel
+    rows = run_checks(only="headline", seed=SEED)
+    assert [c.name for c in rows] == ["headline-zero-capacity", "headline-zero-capacity-channel"]
+    assert_all(rows)
 
 
 def test_criterion_5_normalization_anchor():

@@ -169,7 +169,17 @@ def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypa
     out_csv = str(tmp_path / "sweep.csv")
     sweep = ["sweep-isotropic", out_csv, "--d", "2", "--f-min", "0.7",
              "--f-max", "0.8", "--steps", "3"]
-    for argv, option in [
+    channel = tmp_path / "channel.json"
+    write_json(channel, identity_channel_payload())
+    # an output path that cannot be written: a missing directory, or a
+    # directory itself
+    missing = str(tmp_path / "no" / "out")
+    for argv, named in [
+        (["test", str(infile), missing], "cannot write"),
+        (["test", str(infile), str(tmp_path)], "cannot write"),
+        (["choi", str(channel), missing], "cannot write"),
+        (["sweep-isotropic", missing] + sweep[2:], "cannot write"),
+        (["sweep-isotropic", str(tmp_path)] + sweep[2:], "cannot write"),
         (["test", str(infile), "--max-iter", "0"], "--max-iter"),
         (["test", str(infile), "--tol", "-1"], "--tol"),
         (sweep + ["--max-iter", "0"], "--max-iter"),
@@ -182,7 +192,7 @@ def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypa
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("input error:") and option in captured.err
+        assert captured.err.startswith("input error:") and named in captured.err
         assert "Infinity" not in captured.out
 
     monkeypatch.setattr(cli, "solve_extension", broken)

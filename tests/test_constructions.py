@@ -7,23 +7,12 @@ from symext.constructions import (
     example_extension,
     example_state,
     filtered_state,
-    generalized_rank1_state,
     isotropic,
     isotropic_boundary_fidelity,
-    rank1_extension_state,
     twirl_isotropic,
 )
-from symext.extend import FEASIBLE, ExtensionProblem, solve_extension, verify_certificate
+from symext.extend import verify_certificate
 from symext.quantum import DensityMatrix, fidelity_maxent, max_entangled_projector
-
-
-def ket(dims, *idx):
-    v = np.zeros(int(np.prod(dims)))
-    pos = 0
-    for d, i in zip(dims, idx):
-        pos = pos * d + i
-    v[pos] = 1.0
-    return v
 
 
 def test_example_state_limits():
@@ -112,36 +101,6 @@ def test_extension_min_eigenvalue_sign_change_at_half():
     assert abs((lo + hi) / 2 - 0.5) <= 1e-9
 
 
-def test_rank1_extension():
-    ext, red = rank1_extension_state()
-    assert abs(ext.trace().real - 1.0) <= 1e-12
-    expected = 0.6 * max_entangled_projector(3)
-    expected += 0.2 * np.outer(ket((3, 3), 0, 1), ket((3, 3), 0, 1))
-    expected += 0.2 * np.outer(ket((3, 3), 2, 1), ket((3, 3), 2, 1))
-    assert np.abs(red.matrix - expected).max() <= 1e-12
-    assert fidelity_maxent(red) == pytest.approx(0.6, abs=1e-12)
-    assert fidelity_maxent(red) < isotropic_boundary_fidelity(3)
-    res = verify_certificate(ext, red)
-    assert res.combined <= 1e-12
-
-
-def test_generalized_rank1_state():
-    d2 = generalized_rank1_state(2)
-    expected = (2 / 3) * max_entangled_projector(2)
-    expected += (1 / 3) * np.outer(ket((2, 2), 1, 0), ket((2, 2), 1, 0))
-    assert np.abs(d2.matrix - expected).max() <= 1e-12
-    for d in range(2, 7):
-        fid = fidelity_maxent(generalized_rank1_state(d))
-        assert fid == pytest.approx(d / (2 * d - 1), abs=1e-12)
-    with pytest.raises(ValueError):
-        generalized_rank1_state(1)
-
-
-def test_generalized_rank1_state_is_extendible():
-    cert = solve_extension(ExtensionProblem(target=generalized_rank1_state(2)))
-    assert cert.verdict == FEASIBLE
-
-
 def test_isotropic_family():
     for d in (2, 3):
         assert np.allclose(isotropic(d, 1 / d**2).matrix, np.eye(d * d) / d**2)
@@ -169,7 +128,8 @@ def test_boundary_fidelity_values():
 def werner_reference(d):
     """Dense X = |phi><phi| (x) I (phi = sum_i |ii>) and V = swap(B, B')."""
     phi = np.eye(d).reshape(-1)
-    return np.kron(np.outer(phi, phi), np.eye(d)), linalg.swap_operator((d, d, d), 1, 2)
+    v = np.eye(d**3)[linalg.swap_permutation((d, d, d), 1, 2)]
+    return np.kron(np.outer(phi, phi), np.eye(d)), v
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -25,7 +25,6 @@ from symext.extend import (
     _Geometry,
     _lbfgs,
     bob_side_map_preserves,
-    max_extendible_fidelity,
     run_isotropic_sweep,
     solve_extension,
     verify_certificate,
@@ -112,7 +111,7 @@ def _dense_dual(rho, dims, y):
     n, side = d_a * d_b, d_a * d_b * d_b
     w, u = np.linalg.eigh(rho)
     supp = u[:, w > 1e-10]
-    v = linalg.swap_operator((d_a, d_b, d_b), 1, 2)
+    v = np.eye(side)[linalg.swap_permutation((d_a, d_b, d_b), 1, 2)]
     pi1 = np.kron(supp @ supp.conj().T, np.eye(d_b))
     _, sv, vh = np.linalg.svd(np.vstack([np.eye(side) - pi1, np.eye(side) - v @ pi1 @ v]))
     basis = vh[sv < 1e-9].conj().T
@@ -311,7 +310,7 @@ def test_verifiers_swap_by_index_permutation(dims):
     d_a, d_b = dims
     rng = np.random.default_rng(29)
     side = d_a * d_b * d_b
-    v = linalg.swap_operator((d_a, d_b, d_b), 1, 2)
+    v = np.eye(side)[linalg.swap_permutation((d_a, d_b, d_b), 1, 2)]
     e = np.eye(d_b)
     flip = sum(np.kron(np.outer(e[j], e[k]), np.outer(e[k], e[j]))
                for j in range(d_b) for k in range(d_b))
@@ -661,39 +660,19 @@ def test_rank_deficient_channels_certify_on_the_support(make):
         assert res.combined <= ExtensionProblem.tol
 
 
-def test_max_extendible_fidelity_stops_at_adjacent_floats(monkeypatch):
-    # below one ulp of the boundary, mid = (lo + hi) / 2 rounds to lo or hi
-    # and hi - lo > tol holds for ever; the bisection must stop there. The
-    # counted solve fails the test instead of letting it hang.
-    solves = []
-
-    def counted(problem):
-        solves.append(problem)
-        assert len(solves) <= 100, "the bisection did not stop"
-        return solve_extension(problem)
-
-    monkeypatch.setattr(extend, "solve_extension", counted)
-    result = max_extendible_fidelity(2, tol=1e-17)
-    lo, hi = (row.fidelity for row in result.bracket)
-    assert hi == np.nextafter(lo, 1.0)
-    assert len(result.rows) == len(solves) < 100
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 6])
-def test_max_extendible_fidelity(d):
-    result = max_extendible_fidelity(d)
-    f_b = isotropic_boundary_fidelity(d)
-    assert abs(result.boundary - f_b) <= 5e-3
-    # the bisection's value before it returned its rows
-    assert result.boundary == {2: 0.751953125, 3: 0.66796875, 4: 0.62646484375,
-                               6: 0.5849609375}[d]
-    assert [r.fidelity for r in result.rows] == sorted(r.fidelity for r in result.rows)
-    # the first midpoint of [1/d, 1] is F_b itself, so it is the Feasible end
-    lo, hi = result.bracket
-    assert lo.fidelity == f_b and 0 < hi.fidelity - f_b <= 5e-3
-    res = verify_certificate(lo.certificate.candidate, isotropic(d, lo.fidelity))
-    assert res.combined <= ExtensionProblem.tol
-    assert verify_witness(hi.certificate.witness, isotropic(d, hi.fidelity)).certified
+def test_max_extendible_fidelity_range_check():
+    # the isotropic sweep that locates the boundary rejects a dimension or
+    # tolerance out of range before it solves anything
+    with pytest.raises(linalg.InputError, match="side"):
+        run_isotropic_sweep(11, 0.5, 0.6, 2)  # side 11**3 = 1331 exceeds MAX_SIDE
+    with pytest.raises(linalg.InputError, match="at least 2"):
+        run_isotropic_sweep(1, 0.5, 0.6, 2)
+    # a float dimension is rejected, not truncated to d = 2
+    with pytest.raises(linalg.InputError, match="dimension must be an integer"):
+        run_isotropic_sweep(2.5, 0.7, 0.8, 2)
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(linalg.InputError, match="tol"):
+            run_isotropic_sweep(2, 0.7, 0.8, 1, tol=bad)
 
 
 def test_argument_rules_raise_input_error():
@@ -711,14 +690,13 @@ def test_argument_rules_raise_input_error():
         lambda: solve_extension(ExtensionProblem(target=random_density(rng, (9, 12)))),
         lambda: run_isotropic_sweep(2, 0.8, 0.7, 3),
         lambda: run_isotropic_sweep(2, 0.7, 0.8, 0),
-        lambda: max_extendible_fidelity(2, float("inf")),
         # the type rules: a tolerance, a sweep end and lam2 must be real numbers,
         # and a bool is not one
         lambda: ExtensionProblem(target=target, tol="1e-7"),
         lambda: ExtensionProblem(target=target, tol=1e-7 + 0j),
         lambda: ExtensionProblem(target=target, tol=True),
         lambda: distance_to_extendible(target, gap_tol=True),
-        lambda: max_extendible_fidelity(2, tol="0.1"),
+        lambda: run_isotropic_sweep(2, 0.7, 0.8, 2, tol="0.1"),
         lambda: run_isotropic_sweep(2, 0.5, "0.8", 3),
         lambda: run_isotropic_sweep(2, False, 0.8, 1),
         lambda: example_extension(0.3, "0.1"),
@@ -744,20 +722,6 @@ def test_argument_rules_raise_input_error():
             call()
 
 
-def test_max_extendible_fidelity_range_check():
-    with pytest.raises(ValueError, match="side"):
-        max_extendible_fidelity(11)  # side 11**3 = 1331 exceeds MAX_SIDE
-    with pytest.raises(ValueError, match="at least 2"):
-        max_extendible_fidelity(1)
-    # a float dimension is rejected, not truncated to d = 2
-    with pytest.raises(ValueError, match="dimension must be an integer"):
-        max_extendible_fidelity(2.5)
-    # the bisection cannot shrink below one ulp: tol <= 0 would never return
-    for bad in (0.0, -1e-3, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol"):
-            max_extendible_fidelity(2, bad)
-
-
 def test_bob_side_map_closure():
     # depolarizing on a qubit subspace, identity on the rest of B
     k_qubit = depolarizing_channel(2, 0.4).kraus
@@ -769,13 +733,11 @@ def test_bob_side_map_closure():
             block[2, 2] = 1.0
         embedded.append(block)
     ch = KrausChannel(3, 3, tuple(embedded))
-    record = bob_side_map_preserves(example_state(0.4), ch)
-    assert record.verdict_before == FEASIBLE
-    assert record.preserved
+    assert solve(example_state(0.4)).verdict == FEASIBLE
+    assert bob_side_map_preserves(example_state(0.4), ch) is True
 
     ident = KrausChannel(3, 3, (np.eye(3, dtype=complex),))
-    record = bob_side_map_preserves(example_state(0.3), ident)
-    assert record.preserved and record.verdict_after == FEASIBLE
+    assert bob_side_map_preserves(example_state(0.3), ident) is True
 
 
 def test_filtered_state_stays_extendible():
