@@ -30,6 +30,7 @@ from .extend import (
     verify_certificate,
     verify_witness,
 )
+from .linalg import _require_count
 from .param import (
     _grad_and_value,
     bound_report,
@@ -79,20 +80,16 @@ def _extension_reduction(seed):
     return f"{worst:.2e}", worst <= 1e-12
 
 
-def _extension_psd_boundary():
-    def negative(f):
-        ext = example_extension(f, validate=False)
-        return float(np.linalg.eigvalsh(ext).min()) < -1e-12
-
-    lo, hi = 0.4, 0.6
-    while hi - lo > 1e-10:
-        mid = (lo + hi) / 2
-        if negative(mid):
-            hi = mid
-        else:
-            lo = mid
-    crossing = (lo + hi) / 2
-    return f"{crossing:.10f}", abs(crossing - 0.5) <= 1e-9
+def _extension_family_boundary():
+    """Both sides of the example family's F = 1/2: the closed-form extension
+    at 1/2, checked by verify_certificate, and at 0.51 a solve that ends on a
+    witness that verify_witness certifies, which proves no extension exists."""
+    res = verify_certificate(example_extension(0.5), example_state(0.5))
+    above = example_state(0.51)
+    cert = solve_extension(ExtensionProblem(above))
+    ok = res.combined <= 1e-12 and cert.verdict == INFEASIBLE_NUMERICAL and _witnessed(cert, above)
+    return (f"psd={res.psd:.1e} swap={res.swap:.1e} pt={res.pt:.1e} at 0.5, "
+            f"margin={cert.witness_margin:.2e} evals={cert.iterations} at 0.51", ok)
 
 
 def _boundary_extension_oracle(d):
@@ -257,8 +254,8 @@ def _registry(seed):
          lambda: _certified_bracket(run_isotropic_sweep(3, 0.5, 0.8, 31), 2.0 / 3.0, 0.01)),
         ("extension-family-reduction", "<=1e-12", "1e-12",
          lambda: _extension_reduction(seed)),
-        ("extension-family-psd-boundary", "0.5", "1e-9",
-         _extension_psd_boundary),
+        ("extension-family-boundary", "extension at 0.5, witnessed at 0.51", "1e-12",
+         _extension_family_boundary),
         *((f"boundary-extension-d{d}", "psd/swap/pt vs isotropic at (d+1)/(2d)",
            f"1e-10/1e-12/{1e-12 / d:.1e}", lambda d=d: _boundary_extension_oracle(d))
           for d in (2, 3, 4, 6, 8)),
@@ -297,7 +294,9 @@ def _registry(seed):
 
 
 def run_checks(only=None, seed: int = 7):
-    """Run the acceptance battery, optionally filtered by name substring."""
+    """Run the acceptance battery, optionally filtered by name substring; a
+    seed that is not a non-negative integer is an InputError."""
+    _require_count("seed", seed, 0)
     rows = []
     for name, target, tolerance, fun in _registry(seed):
         if only and only not in name:

@@ -7,10 +7,11 @@ capacity), 1 = not certified, 2 = error. Code 1 makes no claim of
 positive capacity; the test is one-sided. Errors print to stderr as
 "input error: ..." for an input file that cannot be read or is malformed,
 an output path that cannot be opened for writing, a numeric option that is
-not positive and finite, or an argument that breaks one of the library's rules
+not positive and finite, a ``verify-paper --only`` filter that matches no
+check, or an argument that breaks one of the library's rules
 (``linalg.InputError``: dimensions, sizes, bipartite targets, tolerances,
-sweep ranges), and as "internal error: <type>: ..." for a fault inside the
-program.
+sweep ranges, a negative ``verify-paper --seed``), and as
+"internal error: <type>: ..." for a fault inside the program.
 """
 
 import argparse
@@ -50,11 +51,8 @@ def decode_matrix(payload, field: str) -> np.ndarray:
     return arr
 
 
-def state_to_payload(state: DensityMatrix, metadata=None) -> dict:
-    payload = {"dims": list(state.dims), "matrix": encode_matrix(state.matrix)}
-    if metadata:
-        payload["metadata"] = metadata
-    return payload
+def state_to_payload(state: DensityMatrix) -> dict:
+    return {"dims": list(state.dims), "matrix": encode_matrix(state.matrix)}
 
 
 def state_from_payload(payload) -> DensityMatrix:
@@ -136,7 +134,7 @@ def _write_json(path: str, payload) -> None:
 def cmd_choi(args) -> int:
     ch = channel_from_payload(_load_json(args.channel_file))
     choi = choi_from_kraus(ch)
-    _write_json(args.out_file, state_to_payload(choi.state, {"name": "choi"}))
+    _write_json(args.out_file, state_to_payload(choi.state))
     print(f"wrote Choi state ({choi.d_in} x {choi.d_out}) to {args.out_file}")
     return 0
 
@@ -247,8 +245,7 @@ def cmd_verify_paper(args) -> int:
 
     checks = run_checks(only=args.only, seed=args.seed)
     if not checks:
-        print(f"no checks match filter {args.only!r}")
-        return 2
+        raise InputError(f"no checks match filter {args.only!r}")
     width = max(len(c.name) for c in checks)
     all_ok = True
     for c in checks:

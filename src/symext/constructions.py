@@ -84,7 +84,7 @@ def _extension_vectors() -> tuple:
     )
 
 
-def example_extension(fidelity: float, lam2: float = None, validate: bool = True) -> np.ndarray:
+def example_extension(fidelity: float, lam2: float = None) -> np.ndarray:
     """Tripartite extension of the example state, on canonical A (x) B (x) B'.
 
     The six eigenvector weights obey two reduction constraints,
@@ -93,11 +93,10 @@ def example_extension(fidelity: float, lam2: float = None, validate: bool = True
     [0, (1-2F)/3] as the one free choice, by default (1-2F)/6. The weight on
     the unnormalized five-term vector is F/3, which is what makes the total
     trace one and the first-factor reduction reproduce the example state.
-    PSD requires F <= 1/2; pass validate=False to build the (indefinite)
-    matrix beyond that point.
+    PSD requires F <= 1/2, so a larger F is an InputError.
     """
     f = linalg._require_fraction("fidelity", fidelity)
-    if validate and f > 0.5 + 1e-12:
+    if f > 0.5 + 1e-12:
         raise linalg.InputError(f"extension is not PSD for F > 1/2 (got F = {f})")
     lam3 = (1.0 - 2.0 * f) / 3.0
     if lam2 is None:

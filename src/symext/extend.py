@@ -368,9 +368,8 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     budget runs out the verdict is Inconclusive, with the last candidate.
     """
     target = problem.target
-    d_a, d_b = target.dims
     geo = _Geometry(target.dims, target.matrix, problem.tol)
-    rho, tol = geo.rho, problem.tol
+    rho, tol, d_b = geo.rho, problem.tol, geo.d_b
     history = []
 
     def finish(x, verdict, iterations, stop_reason, witness=None, margin=None):
@@ -397,8 +396,7 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
                     return w_op, check.margin
         return None
 
-    rho_a = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
-    y0 = (2 * rho - geo.kron_eye(rho_a) / d_b) / d_b
+    y0 = (2 * rho - geo.kron_eye(linalg.partial_trace(rho, target.dims, 0)) / d_b) / d_b
     for k, y, accepted, value, grad, (f, free_margin) in _lbfgs(geo.dual, y0, problem.max_iter):
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
@@ -432,7 +430,7 @@ def verify_certificate(x, target: DensityMatrix) -> CertificateResiduals:
     wmin = float(np.linalg.eigvalsh((x + x.conj().T) / 2).min())
     psd = max(0.0, -wmin)
 
-    p = linalg.swap_permutation((d_a, d_b, d_b), 1, 2)
+    p = linalg.swap_permutation(d_a, d_b)
     swap = float(np.linalg.norm(x - x[np.ix_(p, p)]))
 
     t = x.reshape(d_a * d_b, d_b, d_a * d_b, d_b)
@@ -476,7 +474,7 @@ def verify_witness(w, target: DensityMatrix) -> WitnessCheck:
     rho = target.matrix
 
     lifted = np.kron(w, np.eye(d_b))
-    p = linalg.swap_permutation((d_a, d_b, d_b), 1, 2)
+    p = linalg.swap_permutation(d_a, d_b)
     m = (lifted + lifted[np.ix_(p, p)]) / 2
     c = float(np.linalg.eigvalsh(m)[0])
     value = float(np.real(np.sum(w * rho.T)))
@@ -492,7 +490,7 @@ def bob_side_map_preserves(rho: DensityMatrix, ch: KrausChannel) -> bool:
     """Check that a trace-preserving map on B keeps a state extendible:
     False only when rho is Feasible and its image is not."""
     before = solve_extension(ExtensionProblem(target=rho))
-    after = solve_extension(ExtensionProblem(target=apply_channel(ch, rho, which=1)))
+    after = solve_extension(ExtensionProblem(target=apply_channel(ch, rho)))
     return not (before.verdict == FEASIBLE and after.verdict != FEASIBLE)
 
 

@@ -1,9 +1,11 @@
-"""Dense linear algebra over tensor-product index structure.
+"""Dense linear algebra for the two shapes of the test: a state on A (x) B and
+its symmetric extension on A (x) B (x) B'.
 
-Every function here that takes a matrix casts it to complex128 (callers such
-as the extension solver keep real data in float64). Multipartite structure
-is carried separately as a tuple of subsystem dimensions whose product must
-equal the matrix side.
+``hermitianize`` (and so ``psd_project``) returns complex128. The tensor
+helpers keep their input's dtype, so a real matrix stays float64 through
+``partial_trace``, ``partial_transpose`` and ``permute_systems``. Tensor
+structure is carried separately as a tuple of subsystem dimensions whose
+product must equal the matrix side.
 """
 
 import math
@@ -21,9 +23,6 @@ __all__ = [
     "permute_systems",
     "psd_project",
 ]
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
 
 class InputError(ValueError):
     """An argument that breaks a documented rule of the library: a dimension
@@ -69,7 +68,7 @@ def _require_tol(name, value) -> None:
 
 
 def _as_square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -93,7 +92,7 @@ def hermitianize(m) -> np.ndarray:
     The tolerance is relative to max(1, ||m||) so that checks stay meaningful
     for matrices far from unit scale.
     """
-    m = _as_square(m)
+    m = _as_square(m).astype(complex, copy=False)
     skew_norm = np.linalg.norm((m - m.conj().T) / 2)
     if skew_norm > HERMITICITY_TOL * max(1.0, np.linalg.norm(m)):
         raise ValueError(
@@ -103,61 +102,29 @@ def hermitianize(m) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def partial_trace(m, dims, keep) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep``.
-
-    ``keep`` is a set of subsystem indices; kept subsystems stay in their
-    original relative order.
-    """
+def partial_trace(m, dims, keep: int) -> np.ndarray:
+    """Reduce a matrix on A (x) B to factor ``keep``: 0 traces out B, 1
+    traces out A."""
     m = _as_square(m)
-    dims = _check_dims(m, dims)
-    n = len(dims)
-    keep = sorted({int(k) for k in keep})
-    if not keep:
-        raise ValueError("keep must name at least one subsystem")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-
-    if 2 * n > len(_LETTERS):
-        raise ValueError("too many subsystems for einsum labels")
-    labels = list(_LETTERS[: 2 * n])
-    for j in range(n):
-        if j not in keep:
-            labels[n + j] = labels[j]
-    out = [labels[k] for k in keep] + [labels[n + k] for k in keep]
-    spec = "".join(labels) + "->" + "".join(out)
-    side = math.prod(dims[k] for k in keep)
-    return np.einsum(spec, m.reshape(dims + dims)).reshape(side, side)
+    _require_bipartite(dims)
+    d_a, d_b = _check_dims(m, dims)
+    if keep not in (0, 1):
+        raise ValueError(f"keep must be 0 (A) or 1 (B), got {keep!r}")
+    return np.trace(m.reshape(d_a, d_b, d_a, d_b), axis1=1 - keep, axis2=3 - keep)
 
 
-def partial_transpose(m, dims, which: int) -> np.ndarray:
-    """Transpose the indices of a single tensor factor."""
+def partial_transpose(m, dims) -> np.ndarray:
+    """Transpose the B indices of a matrix on A (x) B."""
     m = _as_square(m)
-    dims = _check_dims(m, dims)
-    n = len(dims)
-    which = int(which)
-    if which < 0 or which >= n:
-        raise ValueError(f"subsystem index {which} out of range for {n} subsystems")
-    t = m.reshape(dims + dims)
-    axes = list(range(2 * n))
-    axes[which], axes[n + which] = axes[n + which], axes[which]
-    return t.transpose(axes).reshape(m.shape)
+    _require_bipartite(dims)
+    d_a, d_b = _check_dims(m, dims)
+    return m.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(m.shape)
 
 
-def swap_permutation(dims, i: int, j: int) -> np.ndarray:
-    """Index permutation p of the swap V of factors i and j: V m V equals
-    m[np.ix_(p, p)], with no arithmetic."""
-    dims = tuple(_require_count("subsystem dimension", d, 1) for d in dims)
-    n = len(dims)
-    i, j = int(i), int(j)
-    if i < 0 or i >= n or j < 0 or j >= n:
-        raise ValueError(f"factor indices ({i}, {j}) out of range for {n} factors")
-    if dims[i] != dims[j]:
-        raise ValueError(
-            f"cannot swap factors of unequal dimension {dims[i]} and {dims[j]}"
-        )
-    grid = np.arange(math.prod(dims)).reshape(dims)
-    return np.swapaxes(grid, i, j).reshape(-1)
+def swap_permutation(d_a: int, d_b: int) -> np.ndarray:
+    """Index permutation p of the swap V of B and B' on A (x) B (x) B':
+    V m V equals m[np.ix_(p, p)], with no arithmetic."""
+    return np.arange(d_a * d_b * d_b).reshape(d_a, d_b, d_b).transpose(0, 2, 1).reshape(-1)
 
 
 def permute_systems(m, dims, perm) -> np.ndarray:

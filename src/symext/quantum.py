@@ -1,7 +1,7 @@
 """States, channels, the Choi bridge, and entropic functionals."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +40,11 @@ class DensityMatrix:
     """Hermitian PSD trace-one matrix tagged with subsystem dimensions."""
 
     matrix: np.ndarray
-    dims: tuple = field(default=())
+    dims: tuple
 
     def __post_init__(self):
         m = linalg.hermitianize(self.matrix)
-        dims = linalg._check_dims(m, self.dims or (m.shape[0],))
+        dims = linalg._check_dims(m, self.dims)
         tr = float(m.trace().real)
         if abs(tr - 1.0) > INPUT_TOL:
             raise ValueError(f"trace is {tr!r}, off from 1 by {abs(tr - 1.0):.3e}")
@@ -99,9 +99,9 @@ class ChoiState:
     state: DensityMatrix
 
     def __post_init__(self):
-        linalg._require_bipartite(self.state.dims)
+        # partial_trace holds the bipartite rule
+        marg = linalg.partial_trace(self.state.matrix, self.state.dims, 0)
         d_in = self.state.dims[0]
-        marg = linalg.partial_trace(self.state.matrix, self.state.dims, keep={0})
         res = np.linalg.norm(marg - np.eye(d_in) / d_in)
         if res > INPUT_TOL:
             raise ValueError(
@@ -147,26 +147,17 @@ def kraus_from_choi(c: ChoiState) -> KrausChannel:
     return KrausChannel(d_in, d_out, tuple(ops))
 
 
-def apply_channel(ch: KrausChannel, rho: DensityMatrix, which: int) -> DensityMatrix:
-    """Apply a channel to tensor factor ``which`` of a state; a state of one
-    factor takes which=0."""
-    which = int(which)
-    if which < 0 or which >= len(rho.dims):
-        raise ValueError(f"factor {which} out of range for dims {rho.dims}")
-    if rho.dims[which] != ch.d_in:
-        raise ValueError(
-            f"factor dimension {rho.dims[which]} does not match channel input {ch.d_in}"
-        )
-    out_dims = tuple(
-        ch.d_out if i == which else d for i, d in enumerate(rho.dims)
-    )
-    out = np.zeros((math.prod(out_dims),) * 2, dtype=complex)
+def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    """Apply a channel to B of a state on A (x) B."""
+    linalg._require_bipartite(rho.dims)
+    d_a, d_b = rho.dims
+    if d_b != ch.d_in:
+        raise ValueError(f"B dimension {d_b} does not match channel input {ch.d_in}")
+    out = np.zeros((d_a * ch.d_out,) * 2, dtype=complex)
     for k in ch.kraus:
-        lifted = np.array([[1.0]], dtype=complex)
-        for i, d in enumerate(rho.dims):
-            lifted = np.kron(lifted, k if i == which else np.eye(d))
+        lifted = np.kron(np.eye(d_a), k)
         out += lifted @ rho.matrix @ lifted.conj().T
-    return DensityMatrix(out, out_dims)
+    return DensityMatrix(out, (d_a, ch.d_out))
 
 
 def depolarizing_channel(d: int, p: float) -> KrausChannel:
@@ -211,10 +202,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def coherent_information(rho: DensityMatrix) -> float:
     """S(rho_B) - S(rho_AB) for a bipartite state, in bits."""
-    linalg._require_bipartite(rho.dims)
-    rho_b = DensityMatrix(
-        linalg.partial_trace(rho.matrix, rho.dims, keep={1}), (rho.dims[1],)
-    )
+    rho_b = DensityMatrix(linalg.partial_trace(rho.matrix, rho.dims, 1), (rho.dims[1],))
     return von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
 
 
@@ -228,8 +216,7 @@ def fidelity_maxent(rho: DensityMatrix) -> float:
 
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    linalg._require_bipartite(rho.dims)
-    pt = linalg.partial_transpose(rho.matrix, rho.dims, 1)
+    pt = linalg.partial_transpose(rho.matrix, rho.dims)
     w = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
     return float(np.sum(-w[w < 0]))
 

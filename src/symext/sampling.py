@@ -33,7 +33,12 @@ def random_pure_state(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_density(rng: np.random.Generator, dims, rank=None) -> DensityMatrix:
-    """Wishart-style random mixed state, optionally rank-limited."""
+    """Wishart-style random mixed state, optionally rank-limited.
+
+    Only the tests pass ``rank``: their rank-deficient targets drive the
+    extension solver's forced-support (face) path. It stays for the
+    rank-deficient distance instances proposed in the ROADMAP (items 2 and
+    7), which would give it a caller in the library or the benchmark."""
     dims = tuple(_require_count("subsystem dimension", d, 1) for d in dims)
     n = math.prod(dims)
     r = n if rank is None else _require_count("rank", rank, 1)

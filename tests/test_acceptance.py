@@ -35,7 +35,10 @@ def test_criterion_1_isotropic_boundary_sweeps():
 
 
 def test_criterion_2_extension_family_oracle():
-    assert_all(run_checks(only="extension-family", seed=SEED))
+    # the closed-form extension's reductions, and both sides of F = 1/2
+    rows = run_checks(only="extension-family", seed=SEED)
+    assert [c.name for c in rows] == ["extension-family-reduction", "extension-family-boundary"]
+    assert_all(rows)
 
 
 def test_criterion_3_boundary_extension_oracle():

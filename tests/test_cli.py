@@ -29,13 +29,13 @@ def identity_channel_payload():
 
 def test_payload_round_trip_is_bit_identical():
     state = example_state(0.37)
-    payload = state_to_payload(state, {"name": "family", "F": 0.37})
+    payload = state_to_payload(state)
     text = json.dumps(payload)
     back = state_from_payload(json.loads(text))
     assert back.matrix.tobytes() == state.matrix.tobytes()
     assert back.dims == state.dims
     # serialize again: identical numeric payload
-    assert json.dumps(state_to_payload(back, {"name": "family", "F": 0.37})) == text
+    assert json.dumps(state_to_payload(back)) == text
     # the vectorized encoder writes what an elementwise one writes, ints as floats
     for m in (state.matrix, np.eye(2, dtype=int)):
         reference = [[[float(v.real), float(v.imag)] for v in row] for row in m]
@@ -78,6 +78,7 @@ def test_cmd_choi(tmp_path, capsys):
     write_json(infile, identity_channel_payload())
     assert main(["choi", str(infile), str(outfile)]) == 0
     payload = json.loads(outfile.read_text())
+    assert sorted(payload) == ["dims", "matrix"]
     state = state_from_payload(payload)
     assert np.allclose(state.matrix, max_entangled_projector(2))
 
@@ -189,6 +190,10 @@ def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypa
         (["param", str(maxent), "--tol", "inf", "--json"], "--tol"),
         (sweep + ["--tol", "inf"], "--tol"),
         (["param", str(infile), "--gap-tol", "inf"], "--gap-tol"),
+        # a filter that matches no row and a negative seed are bad options,
+        # not failed paper checks
+        (["verify-paper", "--only", "no-such-row"], "no checks match"),
+        (["verify-paper", "--seed", "-1", "--only", "extension-family"], "seed"),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()

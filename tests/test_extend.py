@@ -111,7 +111,7 @@ def _dense_dual(rho, dims, y):
     n, side = d_a * d_b, d_a * d_b * d_b
     w, u = np.linalg.eigh(rho)
     supp = u[:, w > 1e-10]
-    v = np.eye(side)[linalg.swap_permutation((d_a, d_b, d_b), 1, 2)]
+    v = np.eye(side)[linalg.swap_permutation(d_a, d_b)]
     pi1 = np.kron(supp @ supp.conj().T, np.eye(d_b))
     _, sv, vh = np.linalg.svd(np.vstack([np.eye(side) - pi1, np.eye(side) - v @ pi1 @ v]))
     basis = vh[sv < 1e-9].conj().T
@@ -223,7 +223,7 @@ def test_two_qubit_closed_form_oracle():
     decided = 0
     for target in _two_qubit_targets(rng):
         rho = target.matrix
-        rho_b = linalg.partial_trace(rho, (2, 2), keep={1})
+        rho_b = linalg.partial_trace(rho, (2, 2), 1)
         det = max(float(np.linalg.det(rho).real), 0.0)
         crit = float(np.trace(rho_b @ rho_b).real - np.trace(rho @ rho).real) + 4 * det**0.5
         cert = solve(target)
@@ -310,12 +310,12 @@ def test_verifiers_swap_by_index_permutation(dims):
     d_a, d_b = dims
     rng = np.random.default_rng(29)
     side = d_a * d_b * d_b
-    v = np.eye(side)[linalg.swap_permutation((d_a, d_b, d_b), 1, 2)]
+    v = np.eye(side)[linalg.swap_permutation(d_a, d_b)]
     e = np.eye(d_b)
     flip = sum(np.kron(np.outer(e[j], e[k]), np.outer(e[k], e[j]))
                for j in range(d_b) for k in range(d_b))
     assert np.array_equal(v, np.kron(np.eye(d_a), flip))
-    p = linalg.swap_permutation((d_a, d_b, d_b), 1, 2)
+    p = linalg.swap_permutation(d_a, d_b)
     m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     assert np.array_equal(m[np.ix_(p, p)], v @ m @ v)
 

@@ -18,6 +18,7 @@ from symext.extend import (
     verify_certificate,
     verify_witness,
 )
+from symext.linalg import permute_systems
 from symext.quantum import DensityMatrix, apply_channel, relative_entropy
 from symext.sampling import random_cptp, random_density, random_entangled_pure, random_unitary
 
@@ -178,15 +179,17 @@ def test_bob_side_channel_keeps_extension_exactly(seed, case):
     # Lambda on B and on B' maps an extension X of rho to an extension of
     # (id (x) Lambda) rho: the swap commutes with Lambda (x) Lambda and the
     # trace over B' absorbs the trace-preserving copy on B'
-    dims, d_out = case
+    (d_a, d_b), d_out = case
     rng = np.random.default_rng(seed)
-    _, x, rho = extendible_pair(rng, dims)
-    ch = random_cptp(rng, dims[1], d_out, int(rng.integers(1, 4)))
-    x3 = DensityMatrix(x, (dims[0], dims[1], dims[1]))
-    mapped = apply_channel(ch, apply_channel(ch, x3, which=1), which=2)
-    target = apply_channel(ch, rho, which=1)
-    assert verify_certificate(mapped.matrix, target).combined <= 1e-12
-    # negative control: Lambda on B alone breaks the swap symmetry
-    one_side = apply_channel(ch, x3, which=1).matrix
-    if d_out == dims[1]:
-        assert verify_certificate(one_side, target).swap >= 1e-2
+    _, x, rho = extendible_pair(rng, (d_a, d_b))
+    ch = random_cptp(rng, d_b, d_out, int(rng.integers(1, 4)))
+    # Lambda on B' of (A B) (x) B', then on B with B' moved out of the way
+    on_b2 = apply_channel(ch, DensityMatrix(x, (d_a * d_b, d_b))).matrix
+    on_b = permute_systems(on_b2, (d_a, d_b, d_out), (0, 2, 1))
+    mapped = apply_channel(ch, DensityMatrix(on_b, (d_a * d_out, d_b))).matrix
+    target = apply_channel(ch, rho)
+    assert verify_certificate(mapped, target).combined <= 1e-12
+    # negative control: Lambda on B alone (X is swap-invariant, so on_b is
+    # X with Lambda on B) breaks the swap symmetry
+    if d_out == d_b:
+        assert verify_certificate(on_b, target).swap >= 1e-2

@@ -124,7 +124,7 @@ def test_choi_marginal_invariant_random_channels():
     for _ in range(5):
         ch = random_cptp(rng, 3, 3, int(rng.integers(1, 5)))
         choi = choi_from_kraus(ch)
-        marg = linalg.partial_trace(choi.state.matrix, (3, 3), keep={0})
+        marg = linalg.partial_trace(choi.state.matrix, (3, 3), 0)
         assert np.linalg.norm(marg - np.eye(3) / 3) <= 1e-9
     # a state whose input marginal is not I/d is no Choi state
     with pytest.raises(ValueError, match="input marginal differs from I/2"):
@@ -177,12 +177,13 @@ def test_choi_kraus_round_trip_random():
 
 def test_apply_channel_basics():
     rng = np.random.default_rng(22)
-    rho = random_density(rng, (2,))
-    assert np.allclose(apply_channel(identity_channel(), rho, which=0).matrix, rho.matrix)
-    out = apply_channel(depolarizing_channel(2, 1.0), rho, which=0)
+    # a state of B alone is a state on 1 (x) 2
+    rho = random_density(rng, (1, 2))
+    assert np.allclose(apply_channel(identity_channel(), rho).matrix, rho.matrix)
+    out = apply_channel(depolarizing_channel(2, 1.0), rho)
     assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
-    ket0 = DensityMatrix(np.diag([1.0, 0.0]), (2,))
-    out = apply_channel(depolarizing_channel(2, 0.5), ket0, which=0)
+    ket0 = DensityMatrix(np.diag([1.0, 0.0]), (1, 2))
+    out = apply_channel(depolarizing_channel(2, 0.5), ket0)
     assert np.allclose(out.matrix, np.diag([0.75, 0.25]), atol=1e-12)
 
 
@@ -190,17 +191,18 @@ def test_apply_channel_on_subsystem():
     rng = np.random.default_rng(23)
     rho = random_density(rng, (2, 3))
     ch = random_cptp(rng, 3, 3, 2)
-    out = apply_channel(ch, rho, which=1)
+    out = apply_channel(ch, rho)
+    assert out.dims == (2, 3)
     oracle = np.zeros((6, 6), dtype=complex)
     for k in ch.kraus:
         lifted = np.kron(np.eye(2), k)
         oracle += lifted @ rho.matrix @ lifted.conj().T
     assert np.linalg.norm(out.matrix - oracle) <= 1e-12
     assert abs(out.matrix.trace().real - 1.0) <= 1e-10
-    with pytest.raises(ValueError):
-        apply_channel(ch, rho, which=0)
-    with pytest.raises(ValueError, match="factor 2 out of range"):
-        apply_channel(ch, rho, which=2)
+    with pytest.raises(ValueError, match="does not match channel input"):
+        apply_channel(ch, random_density(rng, (3, 2)))
+    with pytest.raises(linalg.InputError, match="two subsystems"):
+        apply_channel(ch, random_density(rng, (2, 3, 3)))
 
 
 def test_depolarizing_parameter_validation():
