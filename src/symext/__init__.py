@@ -24,7 +24,6 @@ from .extend import (
     ExtensionProblem,
     SweepResult,
     SweepRow,
-    bob_side_map_preserves,
     run_isotropic_sweep,
     solve_extension,
     verify_certificate,

@@ -43,10 +43,8 @@ def encode_matrix(m) -> list:
 
 def decode_matrix(payload, field: str) -> np.ndarray:
     try:
-        arr = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in payload]
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        arr = np.array([[complex(re, im) for re, im in row] for row in payload])
+    except (TypeError, ValueError) as exc:
         raise InputError(f"field '{field}' is not a nested [re, im] array: {exc}")
     return arr
 

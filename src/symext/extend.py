@@ -62,7 +62,7 @@ import numpy as np
 from . import linalg
 from .constructions import isotropic
 from .linalg import InputError, _require_bipartite, _require_count, _require_fraction, _require_tol
-from .quantum import DensityMatrix, KrausChannel, apply_channel
+from .quantum import DensityMatrix
 
 FEASIBLE = "Feasible"
 INFEASIBLE_NUMERICAL = "InfeasibleNumerical"
@@ -82,7 +82,6 @@ __all__ = [
     "solve_extension",
     "verify_certificate",
     "verify_witness",
-    "bob_side_map_preserves",
     "SweepRow",
     "SweepResult",
     "run_isotropic_sweep",
@@ -484,14 +483,6 @@ def verify_witness(w, target: DensityMatrix) -> WitnessCheck:
     norm_trace = float(np.linalg.norm(w) * np.linalg.norm(rho))
     bound = float(eps * ((side + 1) * norm_m + n * n * norm_trace))
     return WitnessCheck(margin=value - c, error_bound=bound)
-
-
-def bob_side_map_preserves(rho: DensityMatrix, ch: KrausChannel) -> bool:
-    """Check that a trace-preserving map on B keeps a state extendible:
-    False only when rho is Feasible and its image is not."""
-    before = solve_extension(ExtensionProblem(target=rho))
-    after = solve_extension(ExtensionProblem(target=apply_channel(ch, rho)))
-    return not (before.verdict == FEASIBLE and after.verdict != FEASIBLE)
 
 
 @dataclass(frozen=True)

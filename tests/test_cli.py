@@ -273,6 +273,11 @@ def test_cmd_test_malformed_input(tmp_path, capsys):
         (["test"], {"dims": 2, "matrix": half}, "field 'dims' must be a list"),
         (["choi"], [1, 2], "channel file must contain a JSON object"),
         (["test"], {"d_in": 2, "d_out": 2, "kraus": []}, "'kraus' must be a non-empty list"),
+        # a cell that is not a [re, im] pair is rejected, not truncated
+        (["test"], {"dims": [1, 2], "matrix": [[[0.5, 0, 7], [0, 0]], [[0, 0], [0.5, 0]]]},
+         "field 'matrix' is not a nested [re, im] array"),
+        (["test"], {"d_in": 1, "d_out": 1, "kraus": [[[1]]]},
+         "field 'kraus[0]' is not a nested [re, im] array"),
     ):
         write_json(infile, payload)
         assert main(argv + [str(infile), str(tmp_path / "out.json")]) == 2

@@ -24,7 +24,6 @@ from symext.extend import (
     WitnessCheck,
     _Geometry,
     _lbfgs,
-    bob_side_map_preserves,
     run_isotropic_sweep,
     solve_extension,
     verify_certificate,
@@ -720,24 +719,6 @@ def test_argument_rules_raise_input_error():
     ):
         with pytest.raises(linalg.InputError):
             call()
-
-
-def test_bob_side_map_closure():
-    # depolarizing on a qubit subspace, identity on the rest of B
-    k_qubit = depolarizing_channel(2, 0.4).kraus
-    embedded = []
-    for i, k in enumerate(k_qubit):
-        block = np.zeros((3, 3), dtype=complex)
-        block[:2, :2] = k
-        if i == 0:
-            block[2, 2] = 1.0
-        embedded.append(block)
-    ch = KrausChannel(3, 3, tuple(embedded))
-    assert solve(example_state(0.4)).verdict == FEASIBLE
-    assert bob_side_map_preserves(example_state(0.4), ch) is True
-
-    ident = KrausChannel(3, 3, (np.eye(3, dtype=complex),))
-    assert bob_side_map_preserves(example_state(0.3), ident) is True
 
 
 def test_filtered_state_stays_extendible():

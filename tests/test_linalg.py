@@ -184,9 +184,8 @@ def test_public_names_resolve():
 
 # Exported names that only perfbench/ or CI read, so no code in src/ calls
 # them: perfbench calibrates with psd_project and builds its channel files
-# with depolarizing_channel and random_unitary; CI writes a channel file
-# with depolarizing_channel.
-ONLY_BENCH_OR_CI = {"psd_project", "depolarizing_channel", "random_unitary"}
+# with random_unitary.
+ONLY_BENCH_OR_CI = {"psd_project", "random_unitary"}
 
 
 def test_every_public_name_has_a_caller():
