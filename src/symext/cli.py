@@ -2,9 +2,12 @@
 
 Verbs: choi, test, sweep-isotropic, param, verify-paper. States and
 channels travel as JSON with [re, im] pairs in row-major nested arrays;
-sweeps produce CSV. Exit codes: 0 = certified feasible (zero one-way
-capacity), 1 = not certified, 2 = error. Code 1 makes no claim of
-positive capacity; the test is one-sided. Errors print to stderr as
+sweeps produce CSV. The files ``choi`` and ``test`` write hold the text
+json.dumps writes for their payload, matrices as ``encode_matrix`` lists;
+one writer makes that text and formats each distinct magnitude once.
+Exit codes: 0 = certified feasible (zero one-way capacity), 1 = not
+certified, 2 = error. Code 1 makes no claim of positive capacity; the
+test is one-sided. Errors print to stderr as
 "input error: ..." for an input file that cannot be read or is malformed,
 an output path that cannot be opened for writing, a numeric option that is
 not positive and finite, a ``verify-paper --only`` filter that matches no
@@ -17,6 +20,7 @@ sweep ranges, a negative ``verify-paper --seed``), and as
 import argparse
 import functools
 import json
+import operator
 import sys
 
 import numpy as np
@@ -39,6 +43,42 @@ __all__ = [
 def encode_matrix(m) -> list:
     m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], -1).tolist()
+
+
+@functools.cache
+def _matrix_template(rows: int, cols: int) -> str:
+    """The text json.dumps writes for a rows x cols [re, im] array, with %s
+    in place of each number."""
+    row = "[" + ", ".join(["[%s, %s]"] * cols) + "]"
+    return "[" + ", ".join([row] * rows) + "]"
+
+
+_JSON_TOKENS = {"nan": "NaN", "inf": "Infinity"}
+
+
+def _matrix_json(m) -> str:
+    """json.dumps(encode_matrix(m)) for a 2-D matrix, byte for byte, with
+    each distinct magnitude formatted once. For a finite a >= 0,
+    repr(-a) == "-" + repr(a), -0.0 included; a NaN is written without
+    its sign, as json writes it."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    values = m.view(np.float64).ravel()  # re, im interleaved
+    mags, index = np.unique(np.abs(values).view(np.uint64), return_inverse=True)
+    text = [_JSON_TOKENS.get(t, t) for t in map(repr, mags.view(np.float64).tolist())]
+    table = text + ["-" + t if t != "NaN" else t for t in text]
+    index = index + len(text) * np.signbit(values)
+    return _matrix_template(*m.shape) % operator.itemgetter(*index.tolist())(table)
+
+
+def _dumps(payload) -> str:
+    """json.dumps(payload) for JSON values and dicts of them, with each
+    numpy matrix in it written as json.dumps(encode_matrix(matrix))."""
+    if isinstance(payload, np.ndarray):
+        return _matrix_json(payload)
+    if isinstance(payload, dict):
+        items = (f"{json.dumps(k)}: {_dumps(v)}" for k, v in payload.items())
+        return "{" + ", ".join(items) + "}"
+    return json.dumps(payload)
 
 
 def decode_matrix(payload, field: str) -> np.ndarray:
@@ -126,13 +166,13 @@ def _open_out(path: str):
 
 def _write_json(path: str, payload) -> None:
     with _open_out(path) as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(_dumps(payload) + "\n")
 
 
 def cmd_choi(args) -> int:
     ch = channel_from_payload(_load_json(args.channel_file))
     choi = choi_from_kraus(ch)
-    _write_json(args.out_file, state_to_payload(choi.state))
+    _write_json(args.out_file, {"dims": list(choi.state.dims), "matrix": choi.state.matrix})
     print(f"wrote Choi state ({choi.d_in} x {choi.d_out}) to {args.out_file}")
     return 0
 
@@ -160,7 +200,7 @@ def cmd_test(args) -> int:
         d_a, d_b = state.dims
         report["extension"] = {
             "dims": [d_a, d_b, d_b],
-            "matrix": encode_matrix(cert.candidate),
+            "matrix": cert.candidate,
         }
     if args.out_report:
         _write_json(args.out_report, report)

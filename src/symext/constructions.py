@@ -146,10 +146,12 @@ def boundary_isotropic_extension(d: int) -> np.ndarray:
     phi = sum_i |ii>. So it is 2/(d(d+1)) S S^dag, where column k of S is
     Pi (|phi> (x) |k>): trace one, PSD, invariant under swapping the last two
     factors, and its two-party reduction is isotropic with fidelity (d+1)/(2d).
+    S is real, so the result is float64, and verifying it costs a real
+    eigvalsh. The entries of S are 0, 1/2 and 1, so S S^T is exact.
     """
     d = linalg._require_count("dimension", d, 2)
-    e = np.eye(d, dtype=complex)
+    e = np.eye(d)
     # column k of phi_k is |phi> (x) |k>, indexed (a, b, b', k); V swaps b, b'
     phi_k = e[:, :, None, None] * e[None, None, :, :]
     s = ((phi_k + phi_k.transpose(0, 2, 1, 3)) / 2).reshape(d**3, d)
-    return 2 / (d * (d + 1)) * (s @ s.conj().T)
+    return 2 / (d * (d + 1)) * (s @ s.T)

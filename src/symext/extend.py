@@ -26,13 +26,18 @@ of range P, the identity when P is everything; empty for a pure entangled
 rho). When P is not everything, that matrix comes from one product of y
 with B and its swapped copy, never from the side x side lift. Its
 eigenpairs (w, U) give the factor F = B U sqrt(w_+) of X(y) = F F^dag, and
-so the gradient and both exits; X(y) itself is formed only at an exit:
+so the gradient and both exits; X(y) itself is formed only at an exit, as
+the swap average of the Hermitian part of F F^dag. Each average adds an
+entry to its image under the symmetry, and floating-point addition
+commutes, so the candidate is bitwise Hermitian and bitwise swap-invariant;
+it differs from F F^dag only by rounding:
 
-  * Feasible: X(y) is PSD and swap-invariant by construction, so once the
-    gradient norm (the marginal residual) is at most tol, X(y) is an
-    extension within tol. Its residuals are re-measured before the exit by
+  * Feasible: X(y) is PSD and swap-invariant, so once the gradient norm
+    (the marginal residual) is at most tol, X(y) is an extension within
+    tol. Its residuals are re-measured before the exit by
     ``verify_certificate``, a code path independent of the solver, and only
-    a candidate it finds within tol ends the solve.
+    a candidate it finds within tol ends the solve; its swap residual is
+    exactly 0.
   * Infeasible: for Hermitian W on AB, every extendible sigma has
     Tr(W sigma) >= lambda_min(lift W) (Doherty, Parrilo and Spedalieri,
     PRA 69, 022308, 2004), so a negative margin Tr(W rho) - lambda_min
@@ -119,8 +124,11 @@ class ExtensionCertificate:
     """Solver output: candidate extension, residuals, and a verdict.
 
     verdict is one of Feasible / InfeasibleNumerical / Inconclusive.
-    residuals are the ``CertificateResiduals`` that ``verify_certificate``
-    returns for candidate at the exit, whichever rule ended the solve;
+    candidate is X(y) at the exit, averaged so that it is exactly Hermitian
+    and exactly invariant under the swap of B and B' (np.array_equal with
+    its conjugate transpose and with its swapped copy). residuals are the
+    ``CertificateResiduals`` that ``verify_certificate`` returns for
+    candidate at the exit, whichever rule ended the solve;
     Feasible means their combined value is at or below the requested tol.
     stop_reason says which rule ended the solve: "tol" (Feasible), "witness"
     (InfeasibleNumerical, proved by a dual witness) or "budget"
@@ -377,7 +385,7 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
 
     def candidate(f):
         x = f @ f.conj().T
-        return (x + x.conj().T) / 2
+        return geo.swap_avg((x + x.conj().T) / 2)
 
     def witness(y, free_margin):
         check = verify_witness(-y, target)

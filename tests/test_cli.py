@@ -12,7 +12,8 @@ from symext.cli import (
     state_to_payload,
 )
 from symext.constructions import example_state, isotropic
-from symext.quantum import max_entangled_projector
+from symext.extend import solve_extension
+from symext.quantum import choi_from_kraus, depolarizing_channel, max_entangled_projector
 from symext.sampling import random_entangled_pure
 
 CERTIFIED = "one-way capacity Q-> = 0 (certified by symmetric extension)"
@@ -84,8 +85,6 @@ def test_cmd_choi(tmp_path, capsys):
 
 
 def test_cmd_choi_depolarizing_boundary(tmp_path):
-    from symext.quantum import depolarizing_channel
-
     ch = depolarizing_channel(2, 1 / 3)
     infile = tmp_path / "depol.json"
     outfile = tmp_path / "choi.json"
@@ -96,6 +95,9 @@ def test_cmd_choi_depolarizing_boundary(tmp_path):
     assert main(["choi", str(infile), str(outfile)]) == 0
     state = state_from_payload(json.loads(outfile.read_text()))
     assert np.linalg.norm(state.matrix - isotropic(2, 0.75).matrix) <= 1e-12
+    # written by the report's matrix writer, as json.dumps writes the payload
+    expected = json.dumps(state_to_payload(choi_from_kraus(ch).state)) + "\n"
+    assert outfile.read_text() == expected
 
 
 def test_cmd_test_feasible_state(tmp_path, capsys):
@@ -147,6 +149,44 @@ def test_cmd_test_feasible_report_has_no_witness(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["stop_reason"] == "tol"
     assert payload["witness_margin"] is None
+    # the candidate is exactly swap-invariant, so its residual reads 0
+    assert payload["swap_residual"] == 0.0
+
+
+@pytest.mark.parametrize("payload, d", [
+    (state_to_payload(isotropic(4, 0.62)), 4),
+    ({"d_in": 3, "d_out": 3,
+      "kraus": [encode_matrix(k) for k in depolarizing_channel(3, 0.6).kraus]}, 3),
+])
+def test_cmd_test_report_text_equals_json_dumps(tmp_path, monkeypatch, payload, d):
+    # the report writer formats each distinct number once; its text is what
+    # json.dumps writes for the report built with encode_matrix(candidate)
+    import symext.cli as cli
+
+    certs = []
+
+    def solve_and_keep(problem):
+        certs.append(solve_extension(problem))
+        return certs[-1]
+
+    monkeypatch.setattr(cli, "solve_extension", solve_and_keep)
+    infile, report = tmp_path / "in.json", tmp_path / "report.json"
+    write_json(infile, payload)
+    assert main(["test", str(infile), str(report)]) == 0
+    (cert,) = certs
+    res = cert.residuals
+    expected = {
+        "verdict": cert.verdict,
+        "psd_residual": res.psd,
+        "swap_residual": res.swap,
+        "pt_residual": res.pt,
+        "iterations": cert.iterations,
+        "stop_reason": cert.stop_reason,
+        "witness_margin": cert.witness_margin,
+        "capacity": CERTIFIED,
+        "extension": {"dims": [d, d, d], "matrix": encode_matrix(cert.candidate)},
+    }
+    assert report.read_text() == json.dumps(expected) + "\n"
 
 
 def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypatch):
@@ -231,8 +271,6 @@ def test_cmd_non_integer_dimensions_are_input_errors(tmp_path, capsys):
 
 
 def test_cmd_test_channel_file(tmp_path, capsys):
-    from symext.quantum import depolarizing_channel
-
     ch = depolarizing_channel(2, 0.5)
     infile = tmp_path / "depol.json"
     write_json(

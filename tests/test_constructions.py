@@ -135,10 +135,11 @@ def test_boundary_isotropic_extension_oracle(d):
     assert fidelity_maxent(red) == pytest.approx(
         isotropic_boundary_fidelity(d), abs=1e-10
     )
-    # formula identity: equals (X + VXV + XV + VX) / (2d(d+1))
+    # formula identity: equals (X + VXV + XV + VX) / (2d(d+1)), bit for bit
+    # and in float64, so its check runs a real eigvalsh
     x, v = werner_reference(d)
     direct = (x + v @ x @ v + x @ v + v @ x) / (2 * d * (d + 1))
-    assert np.linalg.norm(ext - direct) <= 1e-12
+    assert ext.dtype == np.float64 and np.array_equal(ext, direct)
 
 
 @pytest.mark.parametrize("d", [5, 7, 10])

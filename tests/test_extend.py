@@ -380,6 +380,34 @@ def test_feasible_certificates_verify_independently():
         assert res.combined <= 1e-7
 
 
+def test_every_exit_candidate_is_exactly_symmetric():
+    # the exit average makes the candidate bitwise Hermitian and bitwise
+    # swap-invariant, real or complex, at each of the three exits
+    rng = np.random.default_rng(4)
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    rotated = DensityMatrix(u @ isotropic(2, 0.7).matrix @ u.conj().T, (2, 2))
+    cases = [
+        (isotropic(2, 0.7), {}, "tol"),
+        (rotated, {}, "tol"),
+        (example_state(0.4), {}, "tol"),
+        (isotropic(2, 0.9), {}, "witness"),
+        (random_entangled_pure(rng, (2, 3)), {}, "witness"),
+        (isotropic(4, 0.6), {"max_iter": 5}, "budget"),
+        (rotated, {"max_iter": 1}, "budget"),
+    ]
+    dtypes = set()
+    for target, kw, stop in cases:
+        cert = solve(target, **kw)
+        assert cert.stop_reason == stop
+        x = cert.candidate
+        dtypes.add(x.dtype)
+        p = linalg.swap_permutation(*target.dims)
+        assert np.array_equal(x, x.conj().T)
+        assert np.array_equal(x, x[np.ix_(p, p)])
+        assert cert.residuals.swap == 0.0
+    assert dtypes == {np.dtype(float), np.dtype(complex)}
+
+
 def test_verify_certificate_on_analytic_extensions():
     ext = example_extension(0.3)
     res = verify_certificate(ext, example_state(0.3))

@@ -1,14 +1,17 @@
 """Seeded property tests: the relative entropy against a dense reference, the
 identities of the extension geometry shared by the solver and the
-Frank-Wolfe oracle, certificate round trips with negative controls, and the
-closure of the extendible set under channels on Bob's side."""
+Frank-Wolfe oracle, certificate round trips with negative controls, the
+closure of the extendible set under channels on Bob's side, and the CLI's
+matrix writer against json.dumps."""
 
+import json
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symext.cli import _matrix_json, encode_matrix
 from symext.extend import (
     FEASIBLE,
     INFEASIBLE_NUMERICAL,
@@ -193,3 +196,24 @@ def test_bob_side_channel_keeps_extension_exactly(seed, case):
     # X with Lambda on B) breaks the swap symmetry
     if d_out == d_b:
         assert verify_certificate(on_b, target).swap >= 1e-2
+
+
+# json's edge cases (signed zeros, subnormals, the largest magnitudes, NaN
+# and both infinities), integer-valued floats, and a small pool that makes
+# values repeat, beside any float at all
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan,
+                               -math.nan, math.inf, -math.inf, 0.1, -0.1])
+entries = edge_floats | st.integers(-9, 9).map(float) | st.floats()
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+def test_matrix_writer_equals_json_dumps(rows, cols, is_complex, data):
+    parts = [np.array(data.draw(st.lists(entries, min_size=rows * cols,
+                                         max_size=rows * cols))).reshape(rows, cols)
+             for _ in range(1 + is_complex)]
+    m = parts[0]
+    if is_complex:
+        m = np.empty((rows, cols), dtype=complex)
+        m.real, m.imag = parts
+    assert _matrix_json(m) == json.dumps(encode_matrix(m))
