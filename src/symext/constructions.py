@@ -25,7 +25,7 @@ __all__ = [
 
 
 def _ket(dims, *indices) -> np.ndarray:
-    v = np.zeros(math.prod(dims), dtype=complex)
+    v = np.zeros(math.prod(dims))
     stride = 1
     pos = 0
     for d, i in zip(reversed(dims), reversed(indices)):
@@ -36,7 +36,7 @@ def _ket(dims, *indices) -> np.ndarray:
 
 
 def _proj(vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())
+    return np.outer(vec, vec)
 
 
 def example_state(fidelity: float) -> DensityMatrix:
@@ -57,10 +57,10 @@ def filtered_state(fidelity: float) -> DensityMatrix:
     f = linalg._require_fraction("fidelity", fidelity)
     if f == 0.0:
         raise linalg.InputError("fidelity must be in (0, 1], got 0.0: the filter is singular")
-    w = np.diag([1.0, 1.0 / np.sqrt(f), 1.0 / np.sqrt(2.0 - f)]).astype(complex)
+    w = np.diag([1.0, 1.0 / np.sqrt(f), 1.0 / np.sqrt(2.0 - f)])
     op = np.kron(w, np.eye(3))
-    m = op @ example_state(f).matrix @ op.conj().T
-    m /= m.trace().real
+    m = op @ example_state(f).matrix @ op.T
+    m /= m.trace()
     return DensityMatrix(m, (3, 3))
 
 
@@ -104,7 +104,7 @@ def example_extension(fidelity: float, lam2: float = None) -> np.ndarray:
     elif not (linalg._is_real(lam2) and -1e-12 <= lam2 <= lam3 + 1e-12):
         raise linalg.InputError(f"lam2={lam2!r} outside [0, (1-2F)/3] = [0, {lam3:.6f}]")
     lams = ((1.0 - f) / 3.0 - lam2, f / 3.0, lam2, lam3, lam2, lam3 - lam2)
-    m = np.zeros((27, 27), dtype=complex)
+    m = np.zeros((27, 27))
     for lam, vec in zip(lams, _extension_vectors()):
         m += lam * _proj(vec)
     # (B', A, B) -> (A, B, B')

@@ -56,8 +56,9 @@ The dual starts at y0 = (2 rho - rho_A (x) I_B/d_B) / d_B, where
 Tr_B' lift(y0) = rho exactly: lift(y0) is the least-norm swap-invariant
 matrix with marginal rho. No target is special-cased; for rho_A (x) I/d_B,
 lift(y0) = rho_A (x) I (x) I/d_B^2 is PSD and the first evaluation is
-Feasible. A target with no imaginary part is solved in real arithmetic: y,
-the factor, the gradient, the L-BFGS memory and the candidate are float64.
+Feasible. The solve runs in the dtype of ``DensityMatrix.matrix``: for a real
+target (float64) y, the factor, the gradient, the L-BFGS memory and the
+candidate are float64.
 """
 
 from dataclasses import dataclass, field
@@ -165,10 +166,11 @@ class WitnessCheck:
 
 
 class _Geometry:
-    """Extension geometry on A (x) B (x) B' for the solver and the Frank-Wolfe
-    oracle: swap average, reduction Tr_B', lift Y -> sym(Y (x) I_B'). For a
-    target it also carries an orthonormal basis (side x dim P) of the forced
-    range P and the projector ker onto ker(target); both None if P is all.
+    """Extension geometry on A (x) B (x) B' for the solver and the distance:
+    swap average, reduction Tr_B', lift Y -> sym(Y (x) I_B'). For a target
+    matrix (a ``DensityMatrix.matrix``, whose dtype sets the arithmetic) it
+    also carries an orthonormal basis (side x dim P) of the forced range P
+    and the projector ker onto ker(target); both None if P is all.
     A side d_A d_B**2 above MAX_SIDE is an InputError, raised before any eigh:
     this is the size check of both the extension solve and the distance."""
 
@@ -181,10 +183,8 @@ class _Geometry:
             raise InputError(f"extension side {self.side} exceeds supported maximum {MAX_SIDE}")
         self.shape6 = (d_a, d_b, d_b) * 2
         self.eye_b = np.eye(d_b)
-        self.rho = self.basis = self.ker = None
+        self.rho, self.basis, self.ker = rho, None, None
         if rho is not None:
-            rho = np.asarray(rho)
-            self.rho = rho if rho.imag.any() else rho.real
             self._support_basis(tol)
 
     def _support_basis(self, tol: float):
@@ -226,19 +226,6 @@ class _Geometry:
 
     def lift(self, y):
         return self.swap_avg(self.kron_eye(y))
-
-    def lmo(self, g):
-        """Closed-form linear minimization over the extendible set.
-
-        min over extendible sigma of <G, sigma> is c = lambda_min(lift G),
-        attained at the reduction s of the swap-symmetrized projector onto
-        a minimizing eigenvector. Returns (c, s).
-        """
-        m = self.lift(g)
-        w, u = np.linalg.eigh((m + m.conj().T) / 2)
-        v = u[:, 0]
-        s = self.ptrace_last(self.swap_avg(np.outer(v, v.conj())))
-        return float(w[0]), (s + s.conj().T) / 2
 
     def compress(self, y):
         """B^dag lift(y) B, or lift(y) when basis is None. Since

@@ -1,9 +1,9 @@
 """Dense linear algebra for the two shapes of the test: a state on A (x) B and
 its symmetric extension on A (x) B (x) B'.
 
-``hermitianize`` (and so ``psd_project``) returns complex128. The tensor
-helpers keep their input's dtype, so a real matrix stays float64 through
-``partial_trace``, ``partial_transpose`` and ``permute_systems``. Tensor
+Every helper keeps its input's dtype: a real matrix stays float64 through
+``hermitianize``, ``psd_project``, ``partial_trace``, ``partial_transpose``
+and ``permute_systems``, and a complex one stays complex128. Tensor
 structure is carried separately as a tuple of subsystem dimensions whose
 product must equal the matrix side.
 """
@@ -87,12 +87,13 @@ def _check_dims(m: np.ndarray, dims) -> tuple:
 
 
 def hermitianize(m) -> np.ndarray:
-    """Return (m + m†)/2; reject inputs whose skew part exceeds HERMITICITY_TOL.
+    """Return (m + m†)/2 in m's dtype (float64 or complex128); reject inputs
+    whose skew part exceeds HERMITICITY_TOL.
 
     The tolerance is relative to max(1, ||m||) so that checks stay meaningful
     for matrices far from unit scale.
     """
-    m = _as_square(m).astype(complex, copy=False)
+    m = _as_square(m)
     skew_norm = np.linalg.norm((m - m.conj().T) / 2)
     if skew_norm > HERMITICITY_TOL * max(1.0, np.linalg.norm(m)):
         raise ValueError(

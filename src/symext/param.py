@@ -4,10 +4,11 @@ A square factor V of the extension, X(V) = swap_avg(V V^dag) / ||V||_F^2,
 parametrizes the extendible set Tr_B' X(V) without constraints (Burer and
 Monteiro, Math. Program. 95, 2003), and the extension solver's L-BFGS
 driver ``extend._lbfgs`` minimizes R(rho || Tr_B' X(V)) over it.
-Frank-Wolfe duality certifies the answer: the linear subproblem over the
-extendible set has a closed form (the reduction of the swap-symmetrized
-minimum-eigenvector projector of the lifted gradient), and its gap bounds
-the distance to the infimum.
+Frank-Wolfe duality certifies the answer (Jaggi, ICML 2013): the linear
+subproblem, the minimum over extendible sigma of <G, sigma>, is
+lambda_min(lift G) (Doherty, Parrilo and Spedalieri, PRA 69, 022308, 2004),
+so one eigvalsh gives a lower bound on the infimum and no minimizer is
+formed. The state's dtype sets the arithmetic: a real state runs in float64.
 """
 
 import math
@@ -24,7 +25,6 @@ from .quantum import (
     DensityMatrix,
     coherent_information,
     negativity,
-    relative_entropy,
     von_neumann_entropy,
 )
 
@@ -49,12 +49,14 @@ def normalization_factor(d: int) -> float:
 
 @dataclass(eq=False)
 class ParamResult:
-    """Distance estimate: value = scale * R(target || nearest).
+    """Distance estimate: value = scale * R(target || nearest), as the
+    objective evaluated it.
 
-    fw_gap is the certified width: the true infimum lies in
-    [value - scale * fw_gap, value]. stop_reason is "gap" when the
-    Frank-Wolfe gap closed to gap_tol and "budget" when max_iter evaluations
-    ran out; iterations counts evaluations of the objective.
+    fw_gap is the gap the stop rule read at nearest, the certified width:
+    the true infimum lies in [value - scale * fw_gap, value]. stop_reason
+    is "gap" when that gap closed to gap_tol (so fw_gap <= gap_tol) and
+    "budget" when max_iter evaluations ran out; iterations counts
+    evaluations of the objective.
     """
 
     value: float
@@ -112,11 +114,12 @@ def distance_to_extendible(
     solver's L-BFGS driver ``_lbfgs`` minimizes f(V) = R(rho || sigma(V)),
     sigma(V) = Tr_B' X(V) under a tiny mixing floor; its gradient is
     (2/t)(L - <L, X> I) V, with t = ||V||_F^2 and L the lift of the
-    gradient G in sigma. Every sigma(V) is extendible, so at each accepted
-    point the closed-form LMO s gives the lower bound value - <G, sigma - s>
-    on the infimum, and the best one seen certifies the result. Stops when
-    the value is within gap_tol of that bound or after max_iter (an integer)
-    evaluations, line-search trials included.
+    gradient G in sigma. Every sigma(V) is extendible, so by convexity at
+    each accepted point value - Re<G, sigma> + lambda_min(lift G) is a lower
+    bound on the infimum, read from one eigvalsh of lift G; the best one
+    seen certifies the result. Stops when the value is within gap_tol of
+    that bound or after max_iter (an integer) evaluations, line-search
+    trials included; the result carries that value and gap.
 
     extendible says whether rho has a symmetric extension, if the caller
     has already decided it; None runs an extension solve of rho here,
@@ -127,7 +130,6 @@ def distance_to_extendible(
     starts at V = I/sqrt(side), where sigma is maximally mixed.
     """
     geo, scale = _distance_geometry(rho, max_iter, gap_tol)
-    rho_t = rho.matrix if rho.matrix.imag.any() else rho.matrix.real
     c_rho = -von_neumann_entropy(rho)
     floor = LOG_FLOOR * np.eye(geo.d_ab) / geo.d_ab
     if extendible is None:
@@ -138,36 +140,36 @@ def distance_to_extendible(
         x = geo.swap_avg(v @ v.conj().T) / t
         sig = (geo.ptrace_last(x) + floor) / (1.0 + LOG_FLOOR)
         sig = (sig + sig.conj().T) / 2
-        val, g = _grad_and_value(rho_t, sig, c_rho)
+        val, g = _grad_and_value(rho.matrix, sig, c_rho)
         lifted = geo.lift(g)
-        return val, (2.0 / t) * (lifted @ v - np.vdot(lifted, x).real * v), sig, g
+        return val, (2.0 / t) * (lifted @ v - np.vdot(lifted, x).real * v), sig, g, lifted
 
-    def gap_closed(val, g, sig):
-        nonlocal lower
-        _, s = geo.lmo(g)
-        lower = max(lower, val - float(np.vdot(g, sig - s).real))
+    def gap_closed(val, sig, g, lifted):
+        # run at each accepted point: its sigma and value become the result
+        nonlocal lower, value, sigma
+        c = float(np.linalg.eigvalsh(lifted)[0])
+        lower = max(lower, val - float(np.vdot(g, sig).real) + c)
+        value, sigma = val, sig
         return val - lower <= gap_tol
 
-    lower, iterations, stop_reason = -math.inf, 0, "budget"
+    lower, value, sigma, iterations, stop_reason = -math.inf, None, None, 0, "budget"
     if extendible:
-        sigma, iterations = (rho_t + floor) / (1.0 + LOG_FLOOR), 1
-        if gap_closed(*_grad_and_value(rho_t, sigma, c_rho), sigma):
+        sig, iterations = (rho.matrix + floor) / (1.0 + LOG_FLOOR), 1
+        val, g = _grad_and_value(rho.matrix, sig, c_rho)
+        if gap_closed(val, sig, g, geo.lift(g)):
             stop_reason = "gap"
     if stop_reason == "budget":
-        done, v0 = iterations, np.eye(geo.side, dtype=rho_t.dtype) / math.sqrt(geo.side)
-        for k, _, accepted, value, _, (sig, g) in _lbfgs(evaluate, v0, max_iter - done):
+        done, v0 = iterations, np.eye(geo.side, dtype=rho.matrix.dtype) / math.sqrt(geo.side)
+        for k, _, accepted, val, _, extra in _lbfgs(evaluate, v0, max_iter - done):
             iterations = done + k
-            if accepted:
-                sigma = sig
-                if gap_closed(value, g, sigma):
-                    stop_reason = "gap"
-                    break
+            if accepted and gap_closed(val, *extra):
+                stop_reason = "gap"
+                break
 
-    nearest = DensityMatrix(sigma, rho.dims)
-    final_value = relative_entropy(rho, nearest)
     return ParamResult(
-        value=scale * final_value, nearest=nearest, fw_gap=max(final_value - lower, 0.0),
-        iterations=iterations, scale=scale, stop_reason=stop_reason,
+        value=scale * value, nearest=DensityMatrix(sigma, rho.dims),
+        fw_gap=max(value - lower, 0.0), iterations=iterations, scale=scale,
+        stop_reason=stop_reason,
     )
 
 

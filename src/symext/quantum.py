@@ -30,20 +30,26 @@ __all__ = [
 
 
 def _readonly(m: np.ndarray) -> np.ndarray:
-    m = np.array(m, dtype=complex)
+    m = np.array(m)
     m.flags.writeable = False
     return m
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian PSD trace-one matrix tagged with subsystem dimensions."""
+    """Hermitian PSD trace-one matrix tagged with subsystem dimensions.
+
+    matrix is read-only: float64 when the input's imaginary part is all
+    zero (-0.0 included), complex128 otherwise. Its dtype sets the
+    arithmetic of the solver and the distance.
+    """
 
     matrix: np.ndarray
     dims: tuple
 
     def __post_init__(self):
         m = linalg.hermitianize(self.matrix)
+        m = m if m.imag.any() else m.real
         dims = linalg._check_dims(m, self.dims)
         tr = float(m.trace().real)
         if abs(tr - 1.0) > INPUT_TOL:
@@ -121,8 +127,8 @@ class ChoiState:
 def max_entangled_projector(d: int) -> np.ndarray:
     """Trace-one projector onto sum_i |ii> / sqrt(d)."""
     d = linalg._require_count("dimension", d, 1)
-    phi = np.eye(d, dtype=complex).reshape(-1)
-    return np.outer(phi, phi.conj()) / d
+    phi = np.eye(d).reshape(-1)
+    return np.outer(phi, phi) / d
 
 
 def choi_from_kraus(ch: KrausChannel) -> ChoiState:

@@ -32,9 +32,11 @@ def test_partial_trace_product_factorization():
 
 
 def test_tensor_helpers_keep_real_dtype():
-    # a real input stays float64 and gives the real part of the complex result
+    # a real input stays float64 and gives the real part of the complex
+    # result; hermitianize keeps its input's dtype too
     m = random_hermitian(np.random.default_rng(2), 6).real
     for out, ref in [
+        (linalg.hermitianize(m), linalg.hermitianize(m + 0j)),
         (linalg.partial_trace(m, (2, 3), 0), linalg.partial_trace(m + 0j, (2, 3), 0)),
         (linalg.partial_trace(m, (2, 3), 1), linalg.partial_trace(m + 0j, (2, 3), 1)),
         (linalg.partial_transpose(m, (2, 3)), linalg.partial_transpose(m + 0j, (2, 3))),

@@ -30,6 +30,12 @@ def maxent(d):
     return DensityMatrix(max_entangled_projector(d), (d, d))
 
 
+def assert_gap_stopped(result, gap_tol=1e-5):
+    # the result carries the gap its stop rule read, as a Python float
+    assert result.stop_reason == "gap"
+    assert type(result.fw_gap) is float and 0.0 <= result.fw_gap <= gap_tol
+
+
 def test_normalization_factor_values():
     assert normalization_factor(2) == pytest.approx(2.40942, abs=1e-5)
     assert normalization_factor(3) == pytest.approx(2.70951, abs=1e-5)
@@ -46,7 +52,7 @@ def test_normalization_factor_values():
 def test_maxent_distance_matches_closed_form():
     result = distance_to_extendible(maxent(2), max_iter=4000)
     assert result.value == pytest.approx(1.0, abs=1e-3)
-    assert result.fw_gap <= 1e-3
+    assert_gap_stopped(result)
     # gap validity against the known optimum
     f_star = -math.log2(isotropic_boundary_fidelity(2))
     f_final = result.value / result.scale
@@ -57,7 +63,7 @@ def test_maxent_distance_matches_closed_form():
 def test_maxent_distance_d3():
     result = distance_to_extendible(maxent(3), max_iter=4000)
     assert result.value == pytest.approx(math.log2(3), abs=2e-3)
-    assert result.fw_gap <= 1e-3
+    assert_gap_stopped(result)
 
 
 def test_result_invariant_value_ties_to_nearest():
@@ -67,15 +73,17 @@ def test_result_invariant_value_ties_to_nearest():
     assert result.fw_gap >= 0.0
 
 
-@pytest.mark.parametrize("d, f", [(2, 0.8), (2, 0.9), (3, 0.8)])
+@pytest.mark.parametrize("d, f", [(2, 0.8), (2, 0.9), (3, 0.8), (6, 0.7), (8, 0.7)])
 def test_isotropic_distance_matches_twirl_argument(d, f):
     # the nearest extendible state to an isotropic state is the boundary
-    # isotropic state, so the value is the binary divergence of the spectra
+    # isotropic state, so the value is the binary divergence of the spectra;
+    # at d = 6 and 8 the bound reads lambda_min of a side 216 and 512 lift
     g = isotropic_boundary_fidelity(d)
     exact = normalization_factor(d) * (
         f * math.log2(f / g) + (1 - f) * math.log2((1 - f) / (1 - g))
     )
     result = distance_to_extendible(isotropic(d, f), max_iter=2000)
+    assert_gap_stopped(result)
     assert result.value == pytest.approx(exact, abs=1e-3)
     # the certified interval contains the optimum
     assert result.value - result.scale * result.fw_gap - 1e-9 <= exact
@@ -280,10 +288,11 @@ def test_default_budget_stops_on_gap():
     # the single-copy anchors, isotropic(2, 0.9) and the two-copy 4x4 pair
     # all close their gap_tol = 1e-5 gap inside the default budget
     for state in (maxent(2), maxent(3), isotropic(2, 0.9)):
-        assert distance_to_extendible(state).stop_reason == "gap"
-    pair = two_copy_estimate(isotropic(2, 0.9))
-    assert pair.stop_reason == "gap"
-    assert pair.nearest.dims == (4, 4)
+        assert_gap_stopped(distance_to_extendible(state))
+    for state in (maxent(2), isotropic(2, 0.9)):
+        pair = two_copy_estimate(state)
+        assert_gap_stopped(pair)
+        assert pair.nearest.dims == (4, 4)
 
 
 def test_two_copy_maxent_additive():

@@ -1,6 +1,6 @@
 """Seeded property tests: the relative entropy against a dense reference, the
 identities of the extension geometry shared by the solver and the
-Frank-Wolfe oracle, certificate round trips with negative controls, the
+distance, certificate round trips with negative controls, the
 closure of the extendible set under channels on Bob's side, and the CLI's
 matrix writer against json.dumps."""
 

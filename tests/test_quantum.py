@@ -58,6 +58,21 @@ def test_density_matrix_is_readonly():
         dm.matrix[0, 0] = 5.0
 
 
+def test_density_matrix_is_real_exactly_when_its_imaginary_part_is_zero():
+    # an all-zero imaginary part, -0.0 included, is stored as float64, bit
+    # for bit the real input's matrix; a nonzero one keeps complex128
+    m = np.array([[0.5, 0.25], [0.25, 0.5]])
+    negative_zero = m.astype(complex)
+    negative_zero.imag = -0.0
+    real = DensityMatrix(m, (2,)).matrix
+    for given in (m, m + 0j, negative_zero):
+        stored = DensityMatrix(given, (2,)).matrix
+        assert stored.dtype == np.float64 and stored.tobytes() == real.tobytes()
+        assert not stored.flags.writeable
+    stored = DensityMatrix(m + np.array([[0, 0.25j], [-0.25j, 0]]), (2,)).matrix
+    assert stored.dtype == np.complex128 and not stored.flags.writeable
+
+
 def test_kraus_channel_completeness_enforced():
     with pytest.raises(ValueError, match="trace-preserving"):
         KrausChannel(2, 2, (0.5 * np.eye(2),))
