@@ -28,7 +28,7 @@ from .extend import (
     verify_certificate,
     verify_witness,
 )
-from .linalg import _require_count
+from .linalg import InputError, _require_count
 from .param import (
     _grad_and_value,
     bound_report,
@@ -303,7 +303,8 @@ def _registry(seed):
 
 def run_checks(only=None, seed: int = 7):
     """Run the acceptance battery, optionally filtered by name substring; a
-    seed that is not a non-negative integer is an InputError."""
+    seed that is not a non-negative integer, or a filter that matches no
+    check, is an InputError."""
     _require_count("seed", seed, 0)
     rows = []
     for name, target, tolerance, fun in _registry(seed):
@@ -324,4 +325,6 @@ def run_checks(only=None, seed: int = 7):
                 seconds=time.perf_counter() - start,
             )
         )
+    if not rows:
+        raise InputError(f"no checks match filter {only!r}")
     return rows

@@ -55,8 +55,8 @@ class ParamResult:
     fw_gap is the gap the stop rule read at nearest, the certified width:
     the true infimum lies in [value - scale * fw_gap, value]. stop_reason
     is "gap" when that gap closed to gap_tol (so fw_gap <= gap_tol) and
-    "budget" when max_iter evaluations ran out; iterations counts
-    evaluations of the objective.
+    "budget" when the evaluations ran out (max_iter, or the one probe of a
+    certified target); iterations counts evaluations of the objective.
     """
 
     value: float
@@ -88,11 +88,11 @@ def _grad_and_value(rho: np.ndarray, sigma: np.ndarray, c_rho: float):
     return value, (g + g.conj().T) / 2
 
 
-def _distance_geometry(rho: DensityMatrix, max_iter, gap_tol):
+def _distance_geometry(rho: DensityMatrix, max_iter, gap_tol, max_iter_name="max_iter"):
     """The distance's argument rules, all checked before any work: returns
     the state's extension geometry and the scale of the distance."""
     _require_bipartite(rho.dims)
-    _require_count("max_iter", max_iter, 1)
+    _require_count(max_iter_name, max_iter, 1)
     _require_tol("gap_tol", gap_tol)
     return _Geometry(rho.dims), normalization_factor(max(rho.dims))
 
@@ -125,9 +125,9 @@ def distance_to_extendible(
     has already decided it; None runs an extension solve of rho here,
     which a dual witness usually ends at once on a state that is not
     extendible. An extendible state is its own optimum
-    (distance exactly zero), so sigma = rho is checked first; its gap check
-    normally ends the solve. Otherwise, or if it does not, the descent
-    starts at V = I/sqrt(side), where sigma is maximally mixed.
+    (distance exactly zero), so for a certified target the one probe at
+    sigma = rho is the whole answer. Otherwise the descent starts at
+    V = I/sqrt(side), where sigma is maximally mixed.
     """
     geo, scale = _distance_geometry(rho, max_iter, gap_tol)
     c_rho = -von_neumann_entropy(rho)
@@ -158,10 +158,9 @@ def distance_to_extendible(
         val, g = _grad_and_value(rho.matrix, sig, c_rho)
         if gap_closed(val, sig, g, geo.lift(g)):
             stop_reason = "gap"
-    if stop_reason == "budget":
-        done, v0 = iterations, np.eye(geo.side, dtype=rho.matrix.dtype) / math.sqrt(geo.side)
-        for k, _, accepted, val, _, extra in _lbfgs(evaluate, v0, max_iter - done):
-            iterations = done + k
+    else:
+        v0 = np.eye(geo.side, dtype=rho.matrix.dtype) / math.sqrt(geo.side)
+        for iterations, _, accepted, val, _, extra in _lbfgs(evaluate, v0, max_iter):
             if accepted and gap_closed(val, *extra):
                 stop_reason = "gap"
                 break
@@ -209,8 +208,8 @@ def bound_report(
     gap_tol: float = 1e-5,
 ) -> BoundReport:
     """Extendibility verdict, hashing bound and distance parameter for one
-    state. The distance's argument rules are checked before the solve."""
-    _distance_geometry(rho, fw_max_iter, gap_tol)
+    state. Every argument is checked, under its own name, before the solve."""
+    _distance_geometry(rho, fw_max_iter, gap_tol, "fw_max_iter")
     cert = solve_extension(ExtensionProblem(target=rho, tol=tol, max_iter=max_iter))
     certified = cert.verdict == FEASIBLE
     par = distance_to_extendible(

@@ -184,9 +184,9 @@ def depolarizing_channel(d: int, p: float) -> KrausChannel:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy -sum lambda log2 lambda in bits."""
+    """Entropy -sum lambda log2 lambda in bits, over eigenvalues above LOG_FLOOR."""
     w = np.linalg.eigvalsh(rho.matrix)
-    w = w[w > 1e-12]
+    w = w[w > LOG_FLOOR]
     return float(-np.sum(w * np.log2(w)))
 
 

@@ -13,6 +13,7 @@ from symext.constructions import (
     isotropic_boundary_fidelity,
 )
 from symext.extend import ExtensionProblem, verify_certificate
+from symext.linalg import InputError
 
 SEED = 7
 
@@ -76,6 +77,11 @@ def test_boundary_rule_can_fail():
     for lo, hi in ((0.76, 0.77), (0.73, 0.74)):
         measured, ok = _boundary(2, isotropic(2, lo), isotropic(2, hi))
         assert not ok, measured
+
+
+def test_filter_that_matches_no_check_is_input_error():
+    with pytest.raises(InputError, match="no checks match"):
+        run_checks(only="no-such-row", seed=SEED)
 
 
 def test_criterion_2_extension_family_oracle():

@@ -14,7 +14,7 @@ from symext.cli import (
 from symext.constructions import example_state, isotropic
 from symext.extend import solve_extension
 from symext.quantum import choi_from_kraus, depolarizing_channel, max_entangled_projector
-from symext.sampling import random_entangled_pure
+from symext.sampling import random_cptp, random_entangled_pure
 
 CERTIFIED = "one-way capacity Q-> = 0 (certified by symmetric extension)"
 NOT_CERTIFIED = "test inconclusive for capacity (no symmetric extension found)"
@@ -226,21 +226,26 @@ def test_error_labels_tell_input_from_internal_faults(tmp_path, capsys, monkeypa
         (["choi", str(channel), missing], "cannot write"),
         (["sweep-isotropic", missing] + sweep[2:], "cannot write"),
         (["sweep-isotropic", str(tmp_path)] + sweep[2:], "cannot write"),
-        (["test", str(infile), "--max-iter", "0"], "--max-iter"),
-        (["test", str(infile), "--tol", "-1"], "--tol"),
-        (sweep + ["--max-iter", "0"], "--max-iter"),
-        (["param", str(infile), "--fw-max-iter", "0", "--json"], "--fw-max-iter"),
-        (["param", str(infile), "--gap-tol", "-1"], "--gap-tol"),
-        (["test", str(maxent), "--tol", "inf"], "--tol"),
-        (["param", str(maxent), "--tol", "inf", "--json"], "--tol"),
-        (sweep + ["--tol", "inf"], "--tol"),
-        (["param", str(infile), "--gap-tol", "inf"], "--gap-tol"),
+        (["test", str(infile), "--max-iter", "0"], "max_iter"),
+        (["test", str(infile), "--tol", "-1"], "tol"),
+        (sweep + ["--max-iter", "0"], "max_iter"),
+        (["param", str(infile), "--fw-max-iter", "0", "--json"], "fw_max_iter"),
+        (["param", str(infile), "--gap-tol", "-1"], "gap_tol"),
+        (["test", str(maxent), "--tol", "inf"], "tol"),
+        (["param", str(maxent), "--tol", "inf", "--json"], "tol"),
+        (sweep + ["--tol", "inf"], "tol"),
+        (["param", str(infile), "--gap-tol", "inf"], "gap_tol"),
         # a filter that matches no row and a negative seed are bad options,
         # not failed paper checks
         (["verify-paper", "--only", "no-such-row"], "no checks match"),
         (["verify-paper", "--seed", "-1", "--only", "extension-family"], "seed"),
     ]:
-        assert main(argv) == 2
+        with monkeypatch.context() as m:
+            if named != "cannot write":
+                # a bad option is rejected before any solve: an eigh would
+                # end as an internal error
+                m.setattr(np.linalg, "eigh", no_eigh)
+            assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("input error:") and named in captured.err
         assert "Infinity" not in captured.out
@@ -398,6 +403,40 @@ def test_cmd_param_json(tmp_path, capsys):
     assert payload["upper"] == 0.0
     assert payload["negativity"] > 0.05
     assert payload["fw_stop"] == "gap"
+
+
+@pytest.mark.parametrize(
+    "channel, flags",
+    [(depolarizing_channel(2, 0.5), ["--json"]),
+     (random_cptp(np.random.default_rng(23), 2, 3, 2), ["--json"]),
+     (random_cptp(np.random.default_rng(23), 2, 3, 2), [])],
+    ids=["depol-2-json", "2to3-json", "2to3-text"],
+)
+def test_cmd_param_channel_file_answers_as_its_choi_file(tmp_path, capsys, channel, flags):
+    # param, like test, judges a channel by its Choi state; the 2 -> 3
+    # channel's Choi state is 2 x 3, not square
+    infile, choi = tmp_path / "channel.json", tmp_path / "choi.json"
+    write_json(infile, {"d_in": channel.d_in, "d_out": channel.d_out,
+                        "kraus": [encode_matrix(k) for k in channel.kraus]})
+    code = main(["param", str(infile)] + flags)
+    out = capsys.readouterr().out
+    assert main(["choi", str(infile), str(choi)]) == 0
+    capsys.readouterr()
+    assert main(["param", str(choi)] + flags) == code
+    assert capsys.readouterr().out == out
+
+
+def test_cmd_param_malformed_channel_file_is_input_error(tmp_path, capsys):
+    infile = tmp_path / "channel.json"
+    write_json(infile, {"d_in": 2, "d_out": 2, "kraus": []})
+    assert main(["param", str(infile), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: field 'kraus'")
+    write_json(infile, {"d_in": 2, "kraus": [encode_matrix(np.eye(2))]})
+    assert main(["param", str(infile), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: channel file is missing required field 'd_out'")
+    assert captured.out == ""
 
 
 def no_eigh(*args, **kwargs):

@@ -154,6 +154,15 @@ def test_bound_report_checks_the_distance_arguments_before_solving(dims, kwargs,
     assert calls == []
 
 
+def test_bound_report_names_each_budget(monkeypatch):
+    # fw_max_iter and the solve's max_iter are reported under their own names
+    monkeypatch.setattr(extend.np.linalg, "eigh", _no_eigh)
+    with pytest.raises(linalg.InputError, match="^fw_max_iter must be"):
+        bound_report(isotropic(2, 0.8), fw_max_iter=0)
+    with pytest.raises(linalg.InputError, match="^max_iter must be"):
+        bound_report(isotropic(2, 0.8), max_iter=0)
+
+
 @pytest.mark.parametrize("bad", [0.0, float("nan"), 3.5])
 def test_budget_and_gap_tol_validated(bad):
     # max_iter must be a positive integer, gap_tol only positive
@@ -275,6 +284,21 @@ def test_standalone_probe_exits_by_witness(monkeypatch):
     assert len(certs) == 1
     assert certs[0].stop_reason == "witness"
     assert certs[0].iterations <= 2
+
+
+@pytest.mark.parametrize("state", [example_state(0.45), isotropic(3, 0.6)],
+                         ids=["example-0.45", "isotropic-3-0.6"])
+def test_certified_target_is_answered_by_the_probe_alone(state, monkeypatch):
+    # an extendible state is its own optimum: even a gap_tol the probe cannot
+    # close sends no descent after it
+    def no_descent(*args):
+        raise AssertionError("descent ran on a certified target")
+
+    monkeypatch.setattr(param, "_lbfgs", no_descent)
+    result = distance_to_extendible(state, max_iter=200, gap_tol=1e-15, extendible=True)
+    assert result.iterations == 1
+    assert result.stop_reason == "budget"
+    assert abs(result.value) < 1e-9
 
 
 def test_fw_stop_reason():
