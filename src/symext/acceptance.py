@@ -90,7 +90,7 @@ def _extension_family_boundary():
     cert = solve_extension(ExtensionProblem(above))
     ok = res.combined <= 1e-12 and cert.verdict == INFEASIBLE_NUMERICAL and _witnessed(cert, above)
     return (f"psd={res.psd:.1e} swap={res.swap:.1e} pt={res.pt:.1e} at 0.5, "
-            f"margin={cert.witness_margin:.2e} evals={cert.iterations} at 0.51", ok)
+            f"margin={cert.witness_margin:.2e} {_solves(cert)} at 0.51", ok)
 
 
 def _boundary(d, lo, hi):
@@ -119,7 +119,7 @@ def _boundary(d, lo, hi):
           and below.verdict == FEASIBLE and res <= ExtensionProblem.tol and _witnessed(over, hi))
     return (f"psd={ext.psd:.1e} swap={ext.swap:.1e} pt={ext.pt:.1e} "
             f"-P+={tight.margin:.1e}/{above.margin:.2e} dist-log2d={dist:.1e} res={res:.1e} "
-            f"margin={margin:.2e} evals={below.iterations}/{over.iterations}", ok)
+            f"margin={margin:.2e} {_solves(below, over)}", ok)
 
 
 def _headline_zero_capacity():
@@ -147,12 +147,12 @@ def _headline_zero_capacity_channel():
     cert = solve_extension(ExtensionProblem(choi))
     res = verify_certificate(cert.candidate, choi).combined
     neg, fid, f_b = negativity(choi), fidelity_maxent(choi), isotropic_boundary_fidelity(3)
-    twirl = solve_extension(ExtensionProblem(twirl_isotropic(choi))).verdict
+    twirl = solve_extension(ExtensionProblem(twirl_isotropic(choi)))
     ok = (cert.verdict == FEASIBLE and res <= ExtensionProblem.tol and neg > 0.05
-          and fid <= f_b and twirl == FEASIBLE)
+          and fid <= f_b and twirl.verdict == FEASIBLE)
     return (f"kraus={len(channel.kraus)} verdict={cert.verdict} res={res:.1e} "
-            f"evals={cert.iterations} negativity={neg:.3f} Fe={fid:.4f} F_b={f_b:.4f} "
-            f"twirl={twirl}", ok)
+            f"negativity={neg:.3f} Fe={fid:.4f} F_b={f_b:.4f} "
+            f"twirl={twirl.verdict} {_solves(cert, twirl)}", ok)
 
 
 def _normalization_anchor(d, tol):
@@ -161,6 +161,13 @@ def _normalization_anchor(d, tol):
     err = abs(result.value - math.log2(d))
     ok = err <= tol and result.fw_gap <= 1e-3 and result.stop_reason == "gap"
     return f"value={result.value:.6f} gap={result.fw_gap:.2e} stop={result.stop_reason}", ok
+
+
+def _solves(*certs) -> str:
+    """The evaluations and stop rules of a row's solves, as
+    evals=7/1 stop=face/witness."""
+    evals = "/".join(str(c.iterations) for c in certs)
+    return f"evals={evals} stop={'/'.join(c.stop_reason for c in certs)}"
 
 
 def _witnessed(cert, target) -> bool:

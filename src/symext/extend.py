@@ -26,11 +26,12 @@ of range P, the identity when P is everything; empty for a pure entangled
 rho). When P is not everything, that matrix comes from one product of y
 with B and its swapped copy, never from the side x side lift. Its
 eigenpairs (w, U) give the factor F = B U sqrt(w_+) of X(y) = F F^dag, and
-so the gradient and both exits; X(y) itself is formed only at an exit, as
-the swap average of the Hermitian part of F F^dag. Each average adds an
-entry to its image under the symmetry, and floating-point addition
-commutes, so the candidate is bitwise Hermitian and bitwise swap-invariant;
-it differs from F F^dag only by rounding:
+so the gradient and the three exits; a candidate is formed only at an
+exit, as the swap average of the Hermitian part of F F^dag (or of the face
+solution below). Each average adds an entry to its image under the
+symmetry, and floating-point addition commutes, so the candidate is
+bitwise Hermitian and bitwise swap-invariant; it differs from the matrix
+averaged only by rounding:
 
   * Feasible: X(y) is PSD and swap-invariant, so once the gradient norm
     (the marginal residual) is at most tol, X(y) is an extension within
@@ -38,6 +39,18 @@ it differs from F F^dag only by rounding:
     ``verify_certificate``, a code path independent of the solver, and only
     a candidate it finds within tol ends the solve; its swap residual is
     exactly 0.
+  * Feasible by face: the columns of F are orthogonal, so F's range Q
+    comes free with every evaluation. Where the rank of F changes (its
+    range moves there), the least-norm swap-invariant X on range Q with
+    Tr_B' X = rho is one dense least-squares solve (``_Geometry.face``).
+    No try is made on the whole space of a full-rank target, where the
+    answer is lift(y0), nor where the solve would cost more than an eigh
+    at side MAX_SIDE. A try whose residual or -lambda_min is above tol is
+    dropped before any side^3 check; otherwise ``verify_certificate``
+    decides it as above.
+    Often the positive eigenspace of lift(y) is the extension's range
+    long before the gradient is below tol, as at y0 near the isotropic
+    boundary, and this candidate's marginal is exact to rounding.
   * Infeasible: for Hermitian W on AB, every extendible sigma has
     Tr(W sigma) >= lambda_min(lift W) (Doherty, Parrilo and Spedalieri,
     PRA 69, 022308, 2004), so a negative margin Tr(W rho) - lambda_min
@@ -131,7 +144,9 @@ class ExtensionCertificate:
     ``CertificateResiduals`` that ``verify_certificate`` returns for
     candidate at the exit, whichever rule ended the solve;
     Feasible means their combined value is at or below the requested tol.
-    stop_reason says which rule ended the solve: "tol" (Feasible), "witness"
+    stop_reason says which rule ended the solve: "tol" (Feasible, X(y) at a
+    gradient norm within tol), "face" (Feasible, the least-norm extension
+    on the range of X(y), whose marginal is exact to rounding), "witness"
     (InfeasibleNumerical, proved by a dual witness) or "budget"
     (Inconclusive). On a witness exit, witness holds W and witness_margin
     its margin as recomputed by ``verify_witness``; both are None otherwise.
@@ -251,6 +266,46 @@ class _Geometry:
         value = 0.5 * float(w[pos] @ w[pos]) - rho_y
         return value, fr @ fr.conj().T - self.rho, f, w.max(initial=0.0) - rho_y
 
+    def face(self, q, tol):
+        """The least-norm swap-invariant X on the face spanned by q (side x r,
+        orthonormal columns spanning a range that V maps onto itself) with
+        Tr_B' X = rho. None when its least-squares residual or -lambda_min is
+        above tol, or when its solve would cost more than an eigh at side
+        MAX_SIDE.
+
+        In a basis of eigenvectors of V on the face, q_+ (V = +1) and q_-
+        (V = -1), a swap-invariant X is q_+ Z_+ q_+^dag + q_- Z_- q_-^dag, and
+        Tr_B'(q_i q_j^dag)[a, c] = sum_b' q_i[(a, b')] conj(q_j[(c, b')]).
+        So Tr_B' X = rho is a dense system of m = d_AB^2 rows and n columns,
+        one per entry of Z_+ and Z_-. One np.linalg.lstsq, about
+        m n min(m, n) flops, gives its least-norm solution, which is
+        Hermitian since Tr_B' X^dag = (Tr_B' X)^dag."""
+        d_ab, d_b, r = self.d_ab, self.d_b, q.shape[1]
+        swapped = q.reshape(self.d_a, d_b, d_b, r).transpose(0, 2, 1, 3).reshape(q.shape)
+        sign, e = np.linalg.eigh(q.conj().T @ swapped)
+        blocks = [q @ e[:, sign > 0], q @ e[:, sign <= 0]]
+        sizes = [b.shape[1] for b in blocks]
+        m, n = d_ab * d_ab, sum(k * k for k in sizes)
+        if m * n * min(m, n) > MAX_SIDE**3:
+            return None
+        columns = []
+        for b, k in zip(blocks, sizes):
+            t = b.reshape(d_ab, d_b, k).transpose(0, 2, 1).reshape(d_ab * k, d_b)
+            c = (t @ t.conj().T).reshape(d_ab, k, d_ab, k).transpose(0, 2, 1, 3)
+            columns.append(c.reshape(m, k * k))
+        a = np.hstack(columns)
+        z = np.linalg.lstsq(a, self.rho.ravel(), rcond=None)[0]
+        if np.linalg.norm(a @ z - self.rho.ravel()) > tol:
+            return None
+        x = 0.0
+        for b, k, zb in zip(blocks, sizes, np.split(z, [sizes[0] ** 2])):
+            zb = zb.reshape(k, k)
+            zb = (zb + zb.conj().T) / 2
+            if k and np.linalg.eigvalsh(zb)[0] < -tol:
+                return None
+            x = x + b @ zb @ b.conj().T
+        return x
+
 
 class _PairMemory:
     """The last LBFGS_MEMORY pairs (s, g_diff) of an L-BFGS run in the
@@ -357,7 +412,11 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
     candidate X(y) ``verify_certificate`` re-measures within tol ends the
     solve as Feasible, and a negative free margin that ``verify_witness``
     confirms for W = -y (or, within a face, W = -y + c K) ends it as
-    InfeasibleNumerical. Every exit stores the residuals
+    InfeasibleNumerical. At an accepted step where the rank of X(y) has
+    changed since the last try, and X(y) is not full rank on the whole
+    space, the least-norm extension on its range (``_Geometry.face``)
+    ends the solve as Feasible by "face" when ``verify_certificate``
+    re-measures it within tol. Every exit stores the residuals
     ``verify_certificate`` returns for its candidate. When the
     budget runs out the verdict is Inconclusive, with the last candidate.
     """
@@ -370,8 +429,7 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
         return ExtensionCertificate(x, verify_certificate(x, target), iterations, verdict,
                                     stop_reason, history, witness, margin)
 
-    def candidate(f):
-        x = f @ f.conj().T
+    def candidate(x):
         return geo.swap_avg((x + x.conj().T) / 2)
 
     def witness(y, free_margin):
@@ -391,19 +449,33 @@ def solve_extension(problem: ExtensionProblem) -> ExtensionCertificate:
         return None
 
     y0 = (2 * rho - geo.kron_eye(linalg.partial_trace(rho, target.dims, 0)) / d_b) / d_b
+    face_rank = None
     for k, y, accepted, value, grad, (f, free_margin) in _lbfgs(geo.dual, y0, problem.max_iter):
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
-            cert = finish(candidate(f), FEASIBLE, k, "tol")
+            cert = finish(candidate(f @ f.conj().T), FEASIBLE, k, "tol")
             if cert.residuals.combined <= tol:
                 return cert
         if free_margin < 0:
             found = witness(y, free_margin)
             if found is not None:
-                return finish(candidate(f), INFEASIBLE_NUMERICAL, k, "witness", *found)
-        if accepted:
-            history.append((k, value, grad_norm))
-    return finish(candidate(f), INCONCLUSIVE, problem.max_iter, "budget")
+                x = f @ f.conj().T
+                return finish(candidate(x), INFEASIBLE_NUMERICAL, k, "witness", *found)
+        if not accepted:
+            continue
+        history.append((k, value, grad_norm))
+        # The least-norm extension on the range of f depends only on that
+        # range, which moves where the rank of f changes. On the whole space
+        # (rank side, no basis) it is lift(y0), which evaluation 1 tested.
+        r = f.shape[1]
+        if r != face_rank and (geo.basis is not None or r < geo.side):
+            face_rank = r
+            x = geo.face(f / np.linalg.norm(f, axis=0), tol)
+            if x is not None:
+                cert = finish(candidate(x), FEASIBLE, k, "face")
+                if cert.residuals.combined <= tol:
+                    return cert
+    return finish(candidate(f @ f.conj().T), INCONCLUSIVE, problem.max_iter, "budget")
 
 
 def verify_certificate(x, target: DensityMatrix) -> CertificateResiduals:

@@ -53,7 +53,9 @@ class ParamResult:
     objective evaluated it.
 
     fw_gap is the gap the stop rule read at nearest, the certified width:
-    the true infimum lies in [value - scale * fw_gap, value]. stop_reason
+    the true infimum lies in [value - scale * fw_gap, value]. A distance is
+    never negative, so value is clamped at 0, where rounding in the
+    objective can leave it just below; the interval stays valid. stop_reason
     is "gap" when that gap closed to gap_tol (so fw_gap <= gap_tol) and
     "budget" when the evaluations ran out (max_iter, or the one probe of a
     certified target); iterations counts evaluations of the objective.
@@ -166,7 +168,7 @@ def distance_to_extendible(
                 break
 
     return ParamResult(
-        value=scale * value, nearest=DensityMatrix(sigma, rho.dims),
+        value=scale * max(value, 0.0), nearest=DensityMatrix(sigma, rho.dims),
         fw_gap=max(value - lower, 0.0), iterations=iterations, scale=scale,
         stop_reason=stop_reason,
     )

@@ -52,6 +52,13 @@ def test_criterion_1_isotropic_boundary_sweeps(boundary_rows):
     assert_all(boundary_rows)
 
 
+def test_boundary_rows_print_each_solve_and_its_stop(boundary_rows):
+    # each row names the evaluations and stop rule of its two solves: the
+    # face exit below F_b and the witness above it, both at evaluation 1
+    for c in boundary_rows:
+        assert "evals=1/1 stop=face/witness" in c.measured, c.measured
+
+
 def test_criterion_3_boundary_extension_oracle():
     # the closed-form extension of isotropic(d, F_b), at the rows' bounds
     for d in (2, 3, 4, 6, 8):

@@ -147,8 +147,10 @@ def test_cmd_test_feasible_report_has_no_witness(tmp_path):
     write_json(infile, state_to_payload(isotropic(2, 0.7)))
     assert main(["test", str(infile), str(report)]) == 0
     payload = json.loads(report.read_text())
-    assert payload["stop_reason"] == "tol"
+    assert payload["stop_reason"] == "face"
     assert payload["witness_margin"] is None
+    # the face candidate's marginal is exact to rounding
+    assert payload["pt_residual"] <= 1e-12
     # the candidate is exactly swap-invariant, so its residual reads 0
     assert payload["swap_residual"] == 0.0
 

@@ -380,20 +380,41 @@ def test_feasible_certificates_verify_independently():
         assert res.combined <= 1e-7
 
 
+@pytest.fixture
+def face_tries(monkeypatch):
+    """(rank, candidate or None) of each face try, in order."""
+    tries = []
+    face = _Geometry.face
+
+    def spy(self, q, tol):
+        tries.append((q.shape[1], face(self, q, tol)))
+        return tries[-1][1]
+
+    monkeypatch.setattr(_Geometry, "face", spy)
+    return tries
+
+
+def slow_separable():
+    # a full-rank 3x3 separable state whose solve ends by tol after 167
+    # evaluations: no face try succeeds on its way
+    return random_separable(np.random.default_rng(0), (3, 3))
+
+
 def test_every_exit_candidate_is_exactly_symmetric():
     # the exit average makes the candidate bitwise Hermitian and bitwise
-    # swap-invariant, real or complex, at each of the three exits
+    # swap-invariant, real or complex, at each of the four exits
     rng = np.random.default_rng(4)
     u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
     rotated = DensityMatrix(u @ isotropic(2, 0.7).matrix @ u.conj().T, (2, 2))
     cases = [
-        (isotropic(2, 0.7), {}, "tol"),
-        (rotated, {}, "tol"),
-        (example_state(0.4), {}, "tol"),
+        (isotropic(2, 0.7), {}, "face"),
+        (rotated, {}, "face"),
+        (example_state(0.4), {}, "face"),
+        (isotropic(2, 0.5), {}, "tol"),
+        (slow_separable(), {}, "tol"),
         (isotropic(2, 0.9), {}, "witness"),
         (random_entangled_pure(rng, (2, 3)), {}, "witness"),
-        (isotropic(4, 0.6), {"max_iter": 5}, "budget"),
-        (rotated, {"max_iter": 1}, "budget"),
+        (slow_separable(), {"max_iter": 5}, "budget"),
     ]
     dtypes = set()
     for target, kw, stop in cases:
@@ -430,7 +451,7 @@ def test_verify_certificate_reports_honest_swap_residual():
 
 def test_stop_reasons_budget_and_one_sidedness(monkeypatch):
     # a budget too short for the solver to reach tol, on an extendible target
-    cert = solve(isotropic(4, 0.6), max_iter=5)
+    cert = solve(slow_separable(), max_iter=5)
     assert cert.verdict == "Inconclusive" and cert.stop_reason == "budget"
     assert cert.iterations == 5 and cert.witness is None
 
@@ -443,10 +464,11 @@ def test_stop_reasons_budget_and_one_sidedness(monkeypatch):
     assert cert.witness is None
 
 
-def test_feasible_exit_needs_verify_certificate(monkeypatch):
-    # verify_certificate decides the Feasible exit: with every candidate
+def test_feasible_exit_needs_verify_certificate(monkeypatch, face_tries):
+    # verify_certificate decides both Feasible exits: with every candidate
     # re-measured above tol, an extendible target is never Feasible, not
-    # even rho_A (x) I/d_B, whose first evaluation is an exact extension
+    # even rho_A (x) I/d_B, whose first evaluation is an exact extension,
+    # nor isotropic(2, 0.7), whose first face candidate is one
     above = CertificateResiduals(0.0, 0.0, 1.0)
     monkeypatch.setattr(extend, "verify_certificate", lambda x, target: above)
     rho_a = random_density(np.random.default_rng(1), (2,)).matrix
@@ -454,6 +476,72 @@ def test_feasible_exit_needs_verify_certificate(monkeypatch):
         cert = solve(target, max_iter=200)
         assert cert.verdict == INCONCLUSIVE and cert.stop_reason == "budget"
         assert cert.residuals is above
+    assert any(x is not None for _, x in face_tries)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_face_exit_near_the_isotropic_boundary(d):
+    # the positive eigenspace of lift(y0) is already the extension's range:
+    # one least-squares solve on it gives, at evaluation 1, an extension
+    # whose marginal is exact to rounding
+    target = isotropic(d, isotropic_boundary_fidelity(d) - 0.01)
+    cert = solve(target)
+    assert cert.verdict == FEASIBLE and cert.stop_reason == "face"
+    assert cert.iterations == 1
+    assert cert.residuals.pt <= 1e-12 and cert.residuals.psd <= 1e-12
+    assert verify_certificate(cert.candidate, target) == cert.residuals
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_face_exit_keeps_the_isotropic_verdicts(d):
+    # at and below F_b the face exit answers Feasible, and above it, however
+    # close, a witness still ends the solve
+    f_b = isotropic_boundary_fidelity(d)
+    for delta in (-1e-4, -1e-6, -1e-8, 0.0):
+        cert = solve(isotropic(d, f_b + delta))
+        assert (cert.verdict, cert.stop_reason) == (FEASIBLE, "face"), delta
+        assert cert.residuals.combined <= 1e-12
+    for delta in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+        cert = solve(isotropic(d, f_b + delta))
+        assert (cert.verdict, cert.stop_reason) == (INFEASIBLE_NUMERICAL, "witness"), delta
+
+
+def test_failed_face_tries_skip_verify_certificate(monkeypatch, face_tries):
+    # on example_state(0.45) the first face tries fail their residual or
+    # lambda_min check, which runs before verify_certificate; a later try
+    # ends the solve, and verify_certificate runs once, at that exit
+    target = example_state(0.45)
+    checks = []
+    verify = extend.verify_certificate
+
+    def spy_verify(x, state):
+        checks.append(verify(x, state))
+        return checks[-1]
+
+    monkeypatch.setattr(extend, "verify_certificate", spy_verify)
+    cert = solve(target)
+    assert cert.verdict == FEASIBLE and cert.stop_reason == "face"
+    assert cert.iterations > 1 and face_tries[0][1] is None and face_tries[-1][1] is not None
+    assert len(checks) == 1 and checks[0] is cert.residuals
+    assert verify(cert.candidate, target).combined <= 1e-12
+
+
+def test_face_tries_follow_rank_changes(face_tries):
+    # a try is made only where the rank of the factor changes, and never on
+    # the whole space of a full-rank target
+    cert = solve(slow_separable())
+    ranks = [r for r, _ in face_tries]
+    assert cert.stop_reason == "tol" and len(ranks) > 1
+    assert all(a != b for a, b in zip(ranks, ranks[1:])) and max(ranks) < 27
+
+
+def test_face_try_is_bounded_by_max_side(monkeypatch):
+    # a try whose least-squares solve would cost more than an eigh at side
+    # MAX_SIDE is not made, and the solve goes on to the tol exit
+    monkeypatch.setattr(extend, "MAX_SIDE", 8)
+    cert = solve(isotropic(2, 0.7))
+    assert cert.verdict == FEASIBLE and cert.stop_reason == "tol"
+    assert cert.iterations > 1
 
 
 def test_verifiers_keep_real_input_real(monkeypatch):
@@ -756,8 +844,8 @@ def test_filtered_state_stays_extendible():
 
 def test_residual_history_monotone():
     # Armijo steps along an L-BFGS descent direction strictly decrease theta
-    cert = solve(isotropic(3, 0.645))
-    assert cert.verdict == FEASIBLE and cert.history
+    cert = solve(slow_separable())
+    assert cert.verdict == FEASIBLE and len(cert.history) > 50
     evals = [h[0] for h in cert.history]
     thetas = [h[1] for h in cert.history]
     assert evals == sorted(set(evals)) and evals[-1] <= cert.iterations
@@ -770,7 +858,7 @@ def test_small_batteries(dims):
     for _ in range(10):
         cert = solve(random_separable(rng, dims), max_iter=40000)
         assert cert.verdict == FEASIBLE
-        assert cert.stop_reason == "tol"
+        assert cert.stop_reason in ("tol", "face")
         assert cert.witness is None and cert.witness_margin is None
     for _ in range(10):
         cert = solve(random_entangled_pure(rng, dims))

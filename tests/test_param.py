@@ -301,6 +301,15 @@ def test_certified_target_is_answered_by_the_probe_alone(state, monkeypatch):
     assert abs(result.value) < 1e-9
 
 
+def test_distance_is_never_negative():
+    # the probe's value on isotropic(3, 0.6) cancels to about -1e-15 in
+    # rounding; the reported distance is clamped at 0 and its interval
+    # [value - scale * fw_gap, value] still holds the true distance 0
+    result = distance_to_extendible(isotropic(3, 0.6))
+    assert result.value == 0.0
+    assert result.value - result.scale * result.fw_gap <= 0.0
+
+
 def test_fw_stop_reason():
     assert distance_to_extendible(example_state(0.45)).stop_reason == "gap"
     result = distance_to_extendible(isotropic(2, 0.8), max_iter=2)
